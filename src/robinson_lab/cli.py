@@ -92,15 +92,13 @@ def _cells(cs: CellSet):
 def _cmd_lambda(args, cfg):
     w = _need_input(args)
     r = int(args.refinement if args.refinement is not None else cfg["refinement"])
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if w.n * r <= deviation.EXACT_DEVIATION_CAP else "heuristic"
-    if mode == "exact":
+    restarts, seed = int(cfg["restarts"]), int(cfg["seed"])
+    if args.mode == "exact":
         cert = deviation.deviation_exact(w, refinement=r)
+    elif args.mode == "heuristic":
+        cert = deviation.deviation_heuristic(w, refinement=r, restarts=restarts, seed=seed)
     else:
-        cert = deviation.deviation_heuristic(w, refinement=r,
-                                             restarts=int(cfg["restarts"]),
-                                             seed=int(cfg["seed"]))
+        cert = recovery.estimate_deviation(w, refinement=r, restarts=restarts, seed=seed)
     report = {
         "schema": SCHEMA, "command": "lambda",
         "value": cert.value, "termLeft": cert.term_left,
@@ -401,7 +399,9 @@ def _build_parser():
 
     sp = sub.add_parser("lambda", help="ordered-shape deviation of a step graphon")
     common(sp)
-    sp.add_argument("--mode", choices=("auto", "exact", "heuristic"), default="auto")
+    sp.add_argument("--mode", choices=("auto", "exact", "heuristic"), default="auto",
+                    help="auto picks the solver the way recover does "
+                         "(see estimate_deviation)")
     sp.add_argument("--refinement", type=int, default=None,
                     help="grid refinement (default: config refinement)")
     sp.set_defaults(fn=_cmd_lambda)

@@ -114,28 +114,43 @@ class RobinsonCheck(NamedTuple):
 def load_graphon(path) -> StepGraphon:
     """Read a step graphon from a text file.
 
-    Format: first non-comment line holds n, followed by n lines of n
-    whitespace-separated reals.  ``#`` starts a comment; blank lines are
-    ignored.  The matrix must be symmetric within 1e-12.
+    Two forms are accepted.  Sized (what :func:`save_graphon` writes): the
+    first non-comment line holds n alone, followed by n*n whitespace-separated
+    reals.  Rows only: n lines of n whitespace-separated reals each, with n
+    taken from the first line (a 1 x 1 matrix therefore needs the sized
+    form).  ``#`` starts a comment; blank lines are ignored.  The matrix must
+    be symmetric within 1e-12.
     """
-    tokens = []
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             body = line.split("#", 1)[0].strip()
             if body:
-                tokens.extend(body.split())
-    if not tokens:
+                rows.append(body.split())
+    if not rows:
         raise ValueError("%s: no data" % path)
+    if len(rows[0]) > 1:
+        n = len(rows[0])
+        for i, row in enumerate(rows, 1):
+            if len(row) != n:
+                raise ValueError("%s: row %d has %d entries, expected %d like row 1"
+                                 % (path, i, len(row), n))
+        if len(rows) != n:
+            raise ValueError("%s: expected %d rows of %d entries, found %d rows"
+                             % (path, n, n, len(rows)))
+        tokens = [t for row in rows for t in row]
+    else:
+        try:
+            n = int(rows[0][0])
+        except ValueError:
+            raise ValueError("%s: first value must be the grid size, got %r" % (path, rows[0][0]))
+        if n < 1:
+            raise ValueError("%s: grid size must be positive" % path)
+        tokens = [t for row in rows[1:] for t in row]
+        if len(tokens) != n * n:
+            raise ValueError("%s: expected %d matrix entries, found %d" % (path, n * n, len(tokens)))
     try:
-        n = int(tokens[0])
-    except ValueError:
-        raise ValueError("%s: first value must be the grid size, got %r" % (path, tokens[0]))
-    if n < 1:
-        raise ValueError("%s: grid size must be positive" % path)
-    if len(tokens) != 1 + n * n:
-        raise ValueError("%s: expected %d matrix entries, found %d" % (path, n * n, len(tokens) - 1))
-    try:
-        flat = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+        flat = np.array([float(t) for t in tokens], dtype=np.float64)
     except ValueError as exc:
         raise ValueError("%s: non-numeric matrix entry (%s)" % (path, exc))
     return StepGraphon(flat.reshape(n, n))

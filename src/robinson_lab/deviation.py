@@ -157,8 +157,63 @@ def deviation_exact(w: StepGraphon, refinement: int = 1) -> DeviationCertificate
     return _assemble(v, q, r, "exact", left, right)
 
 
+def _block_sizes(kmax):
+    """Block sizes tried at one split: all up to 16, doublings plus kmax above."""
+    if kmax <= 16:
+        return list(range(1, kmax + 1))
+    ks = [1 << e for e in range(kmax.bit_length())]
+    return ks if ks[-1] == kmax else ks + [kmax]
+
+
+def _pick(key, k):
+    """Ascending column indices of the k smallest keys per row, ties by index."""
+    return np.sort(np.argsort(key, axis=1, kind="stable")[:, :k], axis=1)
+
+
+def _alternate(v, t2, s, c, k):
+    """Alternating best responses for starts of one block size, in lockstep.
+
+    Row i starts from the ascending block ``c[i]`` right of ``t2[i]``, with A
+    drawn from ``[0, s[i])`` and B from ``[s[i], t2[i])``.  Each round
+    answers C with (A, B) and then (A, B) with C; a start stops after the
+    first round once its value fails to improve by more than 1e-15, keeping
+    its best triple, and after 30 rounds at the latest.  Row sums gather
+    ascending index sets and add them in that order, so every start computes
+    what it would compute alone.  Returns the best values and the (A, B, C)
+    index arrays of shape (3, starts, k).
+    """
+    cols = np.arange(v.shape[0])
+    in_a = cols < s[:, None]
+    in_b = ~in_a & (cols < t2[:, None])
+    in_c = cols >= t2[:, None]
+    best = np.full(len(c), -np.inf)
+    trip = np.empty((3, len(c), k), dtype=np.intp)
+    live = np.arange(len(c))
+    for rnd in range(30):
+        f = v[c].sum(axis=1)
+        a = _pick(np.where(in_a[live], -f, np.inf), k)
+        b = _pick(np.where(in_b[live], f, np.inf), k)
+        g = v[a].sum(axis=1) - v[b].sum(axis=1)
+        c = _pick(np.where(in_c[live], -g, np.inf), k)
+        val = np.take_along_axis(g, c, axis=1).sum(axis=1)
+        if rnd:
+            up = val > best[live] + 1e-15
+            live, a, b, c, val = live[up], a[up], b[up], c[up], val[up]
+            if not len(live):
+                break
+        best[live] = val
+        trip[:, live] = a, b, c
+    return best, trip
+
+
 def _term_max_heuristic(v, q, restarts, rng):
-    """Lower-bound search for the left term: boundary sweep + alternation."""
+    """Lower-bound search for the left term: boundary sweep + alternation.
+
+    Every start (swept splits with consecutive C blocks, then seeded random
+    restarts) is improved by alternating best responses; the first start in
+    that order to reach the largest value wins.  Starts of equal block size
+    run together, in chunks of about 1 MB of gathered rows.
+    """
     if q < 3:
         return None, None
 
@@ -168,53 +223,30 @@ def _term_max_heuristic(v, q, restarts, rng):
         pts = np.unique(np.linspace(lo, hi, min(_SWEEP_CAP, hi - lo + 1)).round().astype(int))
         return [int(p) for p in pts]
 
-    def improve(c_set, k, s, t2):
-        # alternate: (A,B) response to C, then C response to (A,B)
-        c_set = tuple(c_set)
-        best_val, best_trip = -np.inf, None
-        for _ in range(30):
-            f = v[list(c_set), :t2].sum(axis=0)
-            a_set = tuple(sorted(int(i) for i in np.argsort(-f[:s], kind="stable")[:k]))
-            b_set = tuple(sorted(int(i) + s for i in np.argsort(f[s:t2], kind="stable")[:k]))
-            g = v[list(a_set), t2:].sum(axis=0) - v[list(b_set), t2:].sum(axis=0)
-            c_new = tuple(sorted(int(i) + t2 for i in np.argsort(-g, kind="stable")[:k]))
-            val = float(g[[i - t2 for i in c_new]].sum())
-            if best_trip is not None and val <= best_val + 1e-15:
-                break
-            best_val, best_trip = val, (a_set, b_set, c_new)
-            c_set = c_new
-        return best_val, best_trip
-
-    best_val, best_trip = -np.inf, None
-    for t2 in lattice(2, q - 1):
-        for s in lattice(1, t2 - 1):
-            kmax = min(s, t2 - s, q - t2)
-            if kmax <= 16:
-                ks = list(range(1, kmax + 1))
-            else:
-                k, ks = 1, []
-                while k <= kmax:
-                    ks.append(k)
-                    k *= 2
-                if kmax not in ks:
-                    ks.append(kmax)
-            for k in ks:
-                val, trip = improve(tuple(range(t2, t2 + k)), k, s, t2)
-                if trip is not None and val > best_val:
-                    best_val, best_trip = val, trip
-    for _ in range(max(0, restarts)):
+    starts = [(t2, s, tuple(range(t2, t2 + k)))
+              for t2 in lattice(2, q - 1) for s in lattice(1, t2 - 1)
+              for k in _block_sizes(min(s, t2 - s, q - t2))]
+    for _ in range(restarts):
         t2 = int(rng.integers(2, q))
         s = int(rng.integers(1, t2))
-        kmax = min(s, t2 - s, q - t2)
-        if kmax < 1:
-            continue
-        k = int(rng.integers(1, kmax + 1))
-        c0 = tuple(sorted(rng.choice(np.arange(t2, q), size=k, replace=False).tolist()))
-        val, trip = improve(c0, k, s, t2)
-        if trip is not None and val > best_val:
-            best_val, best_trip = val, trip
-    if best_trip is None:
-        return None, None
+        k = int(rng.integers(1, min(s, t2 - s, q - t2) + 1))
+        starts.append((t2, s, tuple(np.sort(rng.choice(np.arange(t2, q), size=k, replace=False)))))
+
+    by_k = {}
+    for i, (_, _, c0) in enumerate(starts):
+        by_k.setdefault(len(c0), []).append(i)
+    values = np.empty(len(starts))
+    leaders = {}   # index of each chunk's first best start -> its triple
+    for k, idx in by_k.items():
+        step = max(1, (1 << 17) // (k * q))
+        for lo in range(0, len(idx), step):
+            chunk = idx[lo:lo + step]
+            t2, s, c0 = (np.array(col) for col in zip(*(starts[i] for i in chunk)))
+            best, trip = _alternate(v, t2, s, c0, k)
+            values[chunk] = best
+            m = int(np.argmax(best))
+            leaders[chunk[m]] = tuple(tuple(int(i) for i in part[m]) for part in trip)
+    best_trip = leaders[int(np.argmax(values))]
     return _triple_value(v, *best_trip, q=q, right=False), best_trip
 
 

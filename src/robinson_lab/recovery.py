@@ -28,14 +28,21 @@ from .approx import RobinsonApprox, robinson_approx
 
 
 def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
-                       seed: int = 0) -> DeviationCertificate:
+                       seed: int = 0, known=None) -> DeviationCertificate:
     """Deviation with an automatic exact/heuristic switch.
 
     Exact enumeration runs at the largest refinement r <= ``refinement`` that
     keeps the refined grid within EXACT_DEVIATION_CAP cells (possibly r = 1,
     coarser than requested but still certified); larger inputs fall back to
     the sweep heuristic at the requested refinement.
+
+    ``known`` is an optional ``(kernel, certificate)`` pair returned for the
+    same refinement, restarts and seed.  When ``w`` is bit-identical to that
+    kernel the certificate is returned without a new search: both solvers
+    are deterministic functions of these inputs.
     """
+    if known is not None and known[0].values.tobytes() == w.values.tobytes():
+        return known[1]
     want = max(1, int(refinement))
     r_exact = min(want, EXACT_DEVIATION_CAP // w.n)
     if r_exact >= 1:
@@ -233,7 +240,8 @@ def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
         t0 = time.perf_counter()
         threshold = 2.0 * lam ** (-1.0 / (p - 1.0))
         clip = cutoff(wn, threshold)
-        cert_m = estimate_deviation(clip.graphon, refinement, restarts, seed)
+        # a cutoff that clipped nothing hands back the same kernel: no new search
+        cert_m = estimate_deviation(clip.graphon, refinement, restarts, seed, known=(wn, cert))
         lam_m = cert_m.value
         timings["cutoff"] = time.perf_counter() - t0
 

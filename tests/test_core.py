@@ -18,6 +18,7 @@ from robinson_lab import (
     save_graphon,
     step_to,
 )
+from robinson_lab import cli
 
 RNG = np.random.Generator(np.random.Philox(20240901))
 
@@ -88,6 +89,31 @@ def test_load_accepts_comments_and_blank_lines(tmp_path):
     path.write_text("# a comment\n2\n\n0 1  # trailing note\n1 0\n")
     w = load_graphon(path)
     assert np.array_equal(w.values, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_load_sized_form(tmp_path):
+    path = tmp_path / "s.mat"
+    path.write_text("3\n0 1 2\n1 0 1\n2 1 0\n")
+    assert np.array_equal(load_graphon(path).values, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
+def test_load_rows_only_form(tmp_path):
+    path = tmp_path / "r.mat"
+    path.write_text("# rows only\n0 1 2\n1 0 1  # middle\n\n2 1 0\n")
+    assert np.array_equal(load_graphon(path).values, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 1 2\n1 0\n2 1 0\n", "row 2 has 2 entries, expected 3 like row 1"),
+    ("0 1 2\n1 0 1\n", "expected 3 rows of 3 entries, found 2 rows"),
+], ids=["ragged", "nonsquare"])
+def test_load_rejects_ragged_or_nonsquare_rows(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.mat"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        load_graphon(path)
+    assert cli.main(["lambda", "--in", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [

@@ -193,6 +193,39 @@ def test_heuristic_never_exceeds_exact():
         assert est.value == again.value
 
 
+def _noisy_toeplitz(n):
+    rng = np.random.Generator(np.random.Philox(n))
+    m = rng.uniform(-0.2, 0.2, (n, n))
+    return StepGraphon(toeplitz_decay(n, seed=n).values + 0.5 * (m + m.T))
+
+
+# deviation_heuristic(w, 2, restarts=50, seed=0) on _noisy_toeplitz(n):
+# (n, value, term_left, term_right, witness_left, witness_right), floats as hex
+HEURISTIC_PINS = [
+    (12, '0x1.bd6bb1ff59290p-10', '0x1.db0489b3661d9p-10', '0x1.9fd2da4b4c347p-10',
+     ((10, 11), (12, 13), (22, 23)),
+     ((4, 5), (6, 7), (8, 9))),
+    (20, '0x1.80c507f97044ep-11', '0x1.85407cbed7c89p-11', '0x1.7c49933408c14p-11',
+     ((14, 16, 17), (18, 19, 20), (34, 35, 36)),
+     ((18, 19), (28, 29), (30, 31))),
+    (32, '0x1.4ba9519e43f02p-11', '0x1.6b63acc176669p-11', '0x1.2beef67b1179ap-11',
+     ((2, 3, 8, 9, 10, 11), (12, 13, 14, 15, 16, 17), (20, 21, 22, 23, 46, 47)),
+     ((26, 27, 31, 38, 39), (43, 44, 45, 48, 49), (50, 51, 52, 53, 57))),
+    (40, '0x1.22493826e87bcp-11', '0x1.feed8d868a4c8p-12', '0x1.451ba98a8bd13p-11',
+     ((12, 16, 17, 18, 19), (20, 21, 22, 23, 24), (25, 34, 35, 50, 51)),
+     ((14, 15, 42, 43, 50, 51), (64, 65, 66, 67, 68, 69), (70, 71, 72, 73, 74, 75))),
+]
+
+
+@pytest.mark.parametrize("n, value, left, right, wit_left, wit_right", HEURISTIC_PINS,
+                         ids=["n%d" % pin[0] for pin in HEURISTIC_PINS])
+def test_heuristic_pinned_certificates(n, value, left, right, wit_left, wit_right):
+    cert = deviation_heuristic(_noisy_toeplitz(n), 2, restarts=50, seed=0)
+    assert (cert.value.hex(), cert.term_left.hex(), cert.term_right.hex()) == (value, left, right)
+    assert tuple(s.indices for s in cert.witness_left) == wit_left
+    assert tuple(s.indices for s in cert.witness_right) == wit_right
+
+
 # ---------------------------------------------------------------------------
 # legacy violation score (kept for comparisons; nothing downstream uses it)
 

@@ -11,6 +11,7 @@ from robinson_lab import (
     closed_form_robinson_ae,
     cumulative_envelope,
     cut_norm,
+    cutoff,
     deviation_exact,
     deviation_heuristic,
     diagonal_band_integral,
@@ -27,6 +28,7 @@ from robinson_lab import (
     theoretical_bound,
     toeplitz_decay,
 )
+from robinson_lab import deviation as deviation_module
 
 N3 = StepGraphon(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
 
@@ -161,16 +163,55 @@ def test_recover_case1_report_is_recomputable():
     assert rep.warning is None
 
 
+@pytest.mark.parametrize("n", [8, 16])        # exact and heuristic estimates
+def test_noop_cutoff_reuses_the_first_estimate(monkeypatch, n):
+    w, _ = plant_violation(toeplitz_decay(n, seed=2), 0.3, seed=2)
+    estimates, searches = [], []
+
+    def counted(fn, log):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            log.append(out)
+            return out
+        return wrapper
+
+    for name in ("deviation_exact", "deviation_heuristic"):
+        monkeypatch.setattr("robinson_lab.recovery." + name,
+                            counted(getattr(deviation_module, name), searches))
+    monkeypatch.setattr("robinson_lab.recovery.estimate_deviation",
+                        counted(estimate_deviation, estimates))
+    approx, rep = recover(w, p=6.0)
+    wn = (1.0 / rep.normalization_scale) * w
+    assert cutoff(wn, rep.cutoff_threshold).exceed_measure == 0.0
+    assert len(searches) == 1 and len(estimates) == 2
+    assert estimates[1] is estimates[0]
+    assert rep.deviation_cutoff == rep.deviation_input > 0.0
+
+
+def test_estimate_deviation_reuses_only_identical_kernels():
+    w, _ = plant_violation(toeplitz_decay(8, seed=2), 0.3, seed=2)
+    cert = estimate_deviation(w)
+    same = StepGraphon(np.array(w.values))
+    assert estimate_deviation(same, known=(w, cert)) is cert
+    other = StepGraphon(np.nextafter(w.values, np.inf))
+    fresh = estimate_deviation(other, known=(w, cert))
+    assert fresh is not cert and fresh == estimate_deviation(other)
+
+
 def test_recover_case2_routing(monkeypatch):
     # case2 (deviation vanishes after clipping) cannot occur with exact
     # estimates on a normalized nonnegative kernel: the mass above the
     # threshold M = 2 lam^(-1/(p-1)) is at most M^(1-p) = 2^(1-p) lam, far too
     # small to cancel the deviation.  Exercise the branch by stubbing the
     # estimator the way a heuristic blind spot on a large instance would look.
-    w, _ = plant_violation(toeplitz_decay(8, seed=2), 0.3, seed=2)
+    # The diagonal spike normalizes to about 64^(1/3) = 4 > M = 3.81, so the
+    # cutoff changes the kernel; an unclipped kernel keeps its first estimate.
+    v = np.array(toeplitz_decay(64, seed=2).values)
+    v[0, 0] = 100.0
+    w = StepGraphon(v)
     calls = []
 
-    def stub(graphon, refinement=2, restarts=50, seed=0):
+    def stub(graphon, refinement=2, restarts=50, seed=0, known=None):
         calls.append(graphon)
         return fixed_certificate(0.04 if len(calls) == 1 else 0.0)
 
@@ -178,6 +219,7 @@ def test_recover_case2_routing(monkeypatch):
     approx, rep = recover(w, p=6.0)
     assert rep.case_taken == "case2"
     assert len(calls) == 2
+    assert calls[1].values[0, 0] == 0.0 and calls[1].values[0, 1] == calls[0].values[0, 1]
     assert rep.deviation_input == 0.04 and rep.deviation_cutoff == 0.0
     m = 2.0 * 0.04 ** -0.2
     assert rep.cutoff_threshold == m

@@ -11,6 +11,7 @@ from robinson_lab import (
     StepGraphon,
     compute_regions,
     cumulative_envelope,
+    estimate_deviation,
     is_robinson,
     load_graphon,
     plant_violation,
@@ -165,6 +166,19 @@ def test_cli_lambda_exact_pinned_value(tmp_path, capsys):
     assert rep["mode"] == "exact" and rep["refinement"] == 1
     assert rep["witnessLeft"] == [[0], [1], [2]]
     assert rep["witnessRight"] == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("n", [7, 10, 16])
+def test_cli_lambda_auto_follows_recover_dispatch(tmp_path, capsys, n):
+    # 10 x 10 at refinement 2 exceeds the exact cap; recover drops to an
+    # exact r = 1 run there, and the CLI must pick the same solver
+    w = plant_violation(toeplitz_decay(n, seed=2), 0.2, seed=2)[0]
+    path = tmp_path / "w.txt"
+    save_graphon(w, path)
+    code, rep = run_json(["lambda", "--in", str(path), "--refinement", "2"], capsys)
+    cert = estimate_deviation(w, refinement=2)
+    assert code == 0
+    assert (rep["mode"], rep["refinement"], rep["value"]) == (cert.mode, cert.refinement, cert.value)
 
 
 def test_cli_gamma_pinned_value(tmp_path, capsys):
