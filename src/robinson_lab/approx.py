@@ -130,37 +130,55 @@ def _availability(points, n, side):
     return np.clip(edges_hi - np.maximum(edges_lo, p), 0.0, 1.0 / n)
 
 
-def _ul_heuristic_many(v, alpha, a_caps, b_caps, iters=40):
-    """Vectorised alternating maximisation of the window average across many
-    query points.  ``a_caps``/``b_caps`` are (P, n) availability matrices.
-    Returns the best value per point (already divided by alpha^2)."""
-    p_cnt, n = a_caps.shape
-    colmean = v.mean(axis=0)[None, :].repeat(p_cnt, axis=0)
-
-    # five deterministic starts for the T side
-    starts = []
-    asc = np.broadcast_to(np.arange(n, dtype=np.float64)[None, :], (p_cnt, n))
-    starts.append(_knap_fill_batch(asc, b_caps, alpha, minimize=True))    # hug y
-    starts.append(_knap_fill_batch(asc, b_caps, alpha, minimize=False))   # hug 1
+def _t_starts(v, alpha, b_caps):
+    """The five deterministic starts for the T side, built one at a time."""
+    p_cnt, n = b_caps.shape
+    asc = np.broadcast_to(np.arange(n, dtype=np.float64), (p_cnt, n))
+    yield _knap_fill_batch(asc, b_caps, alpha, minimize=True)             # hug y
+    yield _knap_fill_batch(asc, b_caps, alpha, minimize=False)            # hug 1
     with np.errstate(invalid="ignore", divide="ignore"):
         tot = b_caps.sum(axis=1, keepdims=True)
         uni = np.where(tot > 0, b_caps * (alpha / tot), 0.0)
-    starts.append(uni)                                                    # spread
-    starts.append(_knap_fill_batch(colmean, b_caps, alpha))               # heavy cols
+    yield uni                                                             # spread
+    colmean = np.broadcast_to(v.mean(axis=0), (p_cnt, n))
+    yield _knap_fill_batch(colmean, b_caps, alpha)                        # heavy cols
     mid = np.abs(asc - (n - 1) / 2.0)
-    starts.append(_knap_fill_batch(mid, b_caps, alpha, minimize=True))    # middle
+    yield _knap_fill_batch(mid, b_caps, alpha, minimize=True)             # middle
 
+
+def _ul_heuristic_many(v, alpha, a_caps, b_caps, iters=40):
+    """Vectorised alternating maximisation of the window average across many
+    query points.  ``a_caps``/``b_caps`` are (P, n) availability matrices.
+    Returns the best value per point (already divided by alpha^2).
+
+    Each start alternates only the rows still moving.  The S response is a
+    function of t alone, so a row whose new t equals its old t is at a fixed
+    point: its value repeats, already counted in ``prev``, and the row is
+    dropped.  Products of two or more rows give each row the same bits as the
+    full product, but a one-row product does not (numpy routes it to gemv),
+    so when P >= 2 a frozen row pads the active set to at least two rows.
+    """
+    p_cnt = a_caps.shape[0]
     best = np.full(p_cnt, -np.inf)
-    for t in starts:
-        t = t.copy()
+    for t in _t_starts(v, alpha, b_caps):
         prev = np.full(p_cnt, -np.inf)
+        rows, a, b = np.arange(p_cnt), a_caps, b_caps
         for _ in range(iters):
-            s = _knap_fill_batch(t @ v, a_caps, alpha)
-            t = _knap_fill_batch(s @ v, b_caps, alpha)
-            val = np.einsum("ij,ij->i", s @ v, t)
-            if np.all(val <= prev + 1e-14):
+            sv = _knap_fill_batch(t @ v, a, alpha) @ v
+            t_new = _knap_fill_batch(sv, b, alpha)
+            val = np.einsum("ij,ij->i", sv, t_new)
+            if np.all(val <= prev[rows] + 1e-14):
                 break
-            prev = np.maximum(prev, val)
+            prev[rows] = np.maximum(prev[rows], val)
+            moving = np.any(t_new != t, axis=1)
+            n_moving = np.count_nonzero(moving)
+            if n_moving == 0:
+                break
+            if n_moving == 1 and moving.size > 1:
+                moving[np.argmin(moving)] = True      # pad with a frozen row
+            t = t_new
+            if not moving.all():
+                rows, t, a, b = rows[moving], t[moving], a[moving], b[moving]
         best = np.maximum(best, prev)
     return best / (alpha * alpha)
 
@@ -350,20 +368,19 @@ def lr_inf(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
 def monotone_envelope(values):
     """Smallest majorant on the upper triangle that is nondecreasing in the
     row index and nonincreasing in the column index; the result is mirrored
-    onto the lower triangle.  Idempotent."""
+    onto the lower triangle.  Idempotent.
+
+    Entry (i, j), j >= i, becomes the maximum over i' <= i, j' >= j: a
+    reversed running maximum along each row, then one down each column.
+    That block lies in the upper triangle, so lower entries never enter."""
     g = np.asarray(values, dtype=np.float64)
     m = g.shape[0]
     if g.ndim != 2 or g.shape[1] != m:
         raise ValueError("square matrix expected")
-    e = np.array(g)
-    for i in range(m):
-        for j in range(m - 1, i - 1, -1):
-            val = e[i, j]
-            if i > 0:
-                val = max(val, e[i - 1, j])
-            if j < m - 1:
-                val = max(val, e[i, j + 1])
-            e[i, j] = val
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix contains non-finite entries")
+    e = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
+    e = np.maximum.accumulate(e, axis=0)
     iu = np.triu_indices(m, 1)
     e[(iu[1], iu[0])] = e[iu]
     return e
@@ -380,6 +397,14 @@ class RobinsonApprox:
 
     def as_graphon(self) -> StepGraphon:
         return StepGraphon(self.values)
+
+
+def _grid_size(w, grid_n):
+    """The grid resolution: ``grid_n``, or the kernel's own when None."""
+    g = w.n if grid_n is None else grid_n
+    if not (float(g).is_integer() and g >= 1):
+        raise ValueError("grid_n must be a positive integer")
+    return int(g)
 
 
 def _corner_points(grid_n, alpha):
@@ -412,9 +437,7 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
                               mode="identity", robinson_validated=True)
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in [0, 1)")
-    g = int(grid_n) if grid_n is not None else w.n
-    if g < 1:
-        raise ValueError("grid_n must be positive")
+    g = _grid_size(w, grid_n)
     if mode == "auto":
         mode = "exact" if (w.n <= 12 and g <= 32) else "heuristic"
     if mode not in ("exact", "heuristic"):
@@ -458,7 +481,7 @@ def closed_form_robinson_ae(w: StepGraphon, alpha: float,
     chk = is_robinson(w, 1e-9)
     if not chk.robinson:
         raise ValueError("closed form needs a Robinson input (witness %s)" % (chk.witness,))
-    g = int(grid_n) if grid_n is not None else w.n
+    g = _grid_size(w, grid_n)
     box = BoxIntegrator(w)
     i, j, xs, ys, feasible = _corner_points(g, alpha)
     vals = np.zeros(len(i))

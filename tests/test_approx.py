@@ -1,5 +1,6 @@
 """Window suprema/infima, monotone envelope, Robinson approximation."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from robinson_lab import (
     toeplitz_decay,
     ul_sup,
 )
+from robinson_lab.approx import _availability, _knap_fill_batch, _ul_heuristic_many
 
 AGREE_TOL = 1e-9
 LOWER_TOL = 1e-12
@@ -65,6 +67,57 @@ def oracle_window_average(v, x1, x2, y1, y2):
             if dy > 0:
                 total += v[i, j] * dx * dy
     return total / ((x2 - x1) * (y2 - y1))
+
+
+def dense_ul_heuristic(v, alpha, a_caps, b_caps, iters=40):
+    """Every start alternates all rows until the stop test holds for all of
+    them.  Also reports whether a round that went on saw exactly one of two
+    or more rows change its T side (where the active set needs padding)."""
+    p_cnt, n = a_caps.shape
+    colmean = v.mean(axis=0)[None, :].repeat(p_cnt, axis=0)
+    asc = np.broadcast_to(np.arange(n, dtype=np.float64)[None, :], (p_cnt, n))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tot = b_caps.sum(axis=1, keepdims=True)
+        uni = np.where(tot > 0, b_caps * (alpha / tot), 0.0)
+    starts = [_knap_fill_batch(asc, b_caps, alpha, minimize=True),
+              _knap_fill_batch(asc, b_caps, alpha, minimize=False),
+              uni,
+              _knap_fill_batch(colmean, b_caps, alpha),
+              _knap_fill_batch(np.abs(asc - (n - 1) / 2.0), b_caps, alpha, minimize=True)]
+    best = np.full(p_cnt, -np.inf)
+    lone_mover = False
+    for t in starts:
+        prev = np.full(p_cnt, -np.inf)
+        for _ in range(iters):
+            s = _knap_fill_batch(t @ v, a_caps, alpha)
+            t_new = _knap_fill_batch(s @ v, b_caps, alpha)
+            val = np.einsum("ij,ij->i", s @ v, t_new)
+            if np.all(val <= prev + 1e-14):
+                break
+            prev = np.maximum(prev, val)
+            moved = np.count_nonzero(np.any(t_new != t, axis=1))
+            lone_mover |= p_cnt > 1 and moved == 1
+            t = t_new
+        best = np.maximum(best, prev)
+    return best / (alpha * alpha), lone_mover
+
+
+def loop_envelope(values):
+    """Row-major sweep: each upper entry takes the max of itself, the entry
+    above and the entry to its right; then mirror."""
+    e = np.array(values, dtype=np.float64)
+    m = e.shape[0]
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            val = e[i, j]
+            if i > 0:
+                val = max(val, e[i - 1, j])
+            if j < m - 1:
+                val = max(val, e[i, j + 1])
+            e[i, j] = val
+    iu = np.triu_indices(m, 1)
+    e[(iu[1], iu[0])] = e[iu]
+    return e
 
 
 def sym(rng, n, lo=-1.0, hi=1.0):
@@ -143,6 +196,38 @@ def test_ul_sup_validation():
         ul_sup(w, 0.3, 0.7, 0.1, mode="bogus")
 
 
+def test_heuristic_loop_matches_the_dense_reference():
+    rng = np.random.Generator(np.random.Philox(112))
+    lone = 0
+    for p_cnt in (1, 2, 3, 50):
+        for _ in range(8):
+            n = int(rng.integers(4, 20))
+            v = sym(rng, n, -1, 2).values
+            alpha = float(rng.uniform(0.05, 0.4))
+            xs = rng.uniform(alpha, 1.0, p_cnt)
+            ys = np.minimum(xs + rng.uniform(0.0, 1.0, p_cnt), 1.0 - alpha)
+            a_caps = _availability(xs, n, "left")
+            b_caps = _availability(ys, n, "right")
+            want, lone_mover = dense_ul_heuristic(v, alpha, a_caps, b_caps)
+            assert np.array_equal(_ul_heuristic_many(v, alpha, a_caps, b_caps), want)
+            lone += lone_mover
+    assert lone > 0          # the one-row padding case was exercised
+
+
+def test_heuristic_approximation_bytes_are_pinned():
+    pins = {
+        (24, 0.2, None, 1): "dc855625ea0c54b9169636a2b8c6fe56cab298f0b21788a09affbeba3e544691",
+        (40, 0.1, None, 2): "78ecd15365e93856fba00233ffaecf2630be6a08570dfd05340de489ba4f07fa",
+        (16, 0.2, 64, 3): "8001b1a0cd2c7bd76b68a4540668b92c9024c23a4a85d68480799849c4a831a0",
+    }
+    for (n, alpha, grid_n, seed), want in pins.items():
+        rng = np.random.Generator(np.random.Philox(seed))
+        m = rng.uniform(-0.3, 0.3, (n, n))
+        w = StepGraphon(toeplitz_decay(n, seed=seed).values + 0.5 * (m + m.T))
+        r = robinson_approx(w, alpha, grid_n=grid_n, mode="heuristic")
+        assert hashlib.sha256(r.values.tobytes()).hexdigest() == want
+
+
 # ---------------------------------------------------------------------------
 # lower-right window infimum
 
@@ -190,6 +275,16 @@ def test_monotone_envelope_examples():
 
     with pytest.raises(ValueError):
         monotone_envelope(np.zeros((2, 3)))
+    for bad in ([[np.nan, 1.0], [1.0, 0.0]], [[0.0, np.inf], [np.inf, 0.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            monotone_envelope(bad)
+
+
+def test_monotone_envelope_matches_the_loop_reference():
+    rng = np.random.Generator(np.random.Philox(113))
+    for m in (1, 2, 3, 7, 16, 64, 200):
+        for g in (rng.uniform(-1, 1, (m, m)), rng.integers(0, 3, (m, m)).astype(float)):
+            assert np.array_equal(monotone_envelope(g), loop_envelope(g))
 
 
 def test_monotone_envelope_is_smallest_robinson_majorant():
@@ -231,6 +326,17 @@ def test_robinson_approx_alpha_zero_paths():
         robinson_approx(bad, 1.0)
     with pytest.raises(ValueError):
         robinson_approx(bad, -0.1)
+
+
+def test_grid_n_must_be_a_positive_integer():
+    w = toeplitz_decay(8, seed=1)
+    for bad in (2.5, 0, -3, float("nan")):
+        with pytest.raises(ValueError, match="grid_n must be a positive integer"):
+            robinson_approx(w, 0.25, grid_n=bad)
+        with pytest.raises(ValueError, match="grid_n must be a positive integer"):
+            closed_form_robinson_ae(w, 0.25, grid_n=bad)
+    assert robinson_approx(w, 0.25, grid_n=np.int64(4)).grid_n == 4
+    assert robinson_approx(w, 0.25, grid_n=4.0).grid_n == 4
 
 
 def test_robinson_approx_auto_mode_switch():
