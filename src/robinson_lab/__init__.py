@@ -24,13 +24,8 @@ from .core import (
 from .cutnorm import CutNormResult, cut_norm, cut_norm_exact, cut_norm_local_search
 from .deviation import (
     DeviationCertificate,
-    ViolationScore,
     deviation_exact,
     deviation_heuristic,
-    recompute_violation_score,
-    violation_score,
-    violation_score_exact,
-    violation_score_heuristic,
 )
 from .approx import (
     BoxIntegrator,
@@ -87,10 +82,7 @@ __all__ = [
     "load_graphon", "save_graphon", "lp_norm", "refine", "step_to",
     "cutoff", "is_robinson",
     "CutNormResult", "cut_norm", "cut_norm_exact", "cut_norm_local_search",
-    "DeviationCertificate", "ViolationScore", "deviation_exact",
-    "deviation_heuristic", "recompute_violation_score",
-    "violation_score", "violation_score_exact",
-    "violation_score_heuristic",
+    "DeviationCertificate", "deviation_exact", "deviation_heuristic",
     "BoxIntegrator", "RobinsonApprox", "closed_form_robinson_ae",
     "diagonal_band_integral", "lr_inf", "monotone_envelope",
     "robinson_approx", "ul_sup",

@@ -107,15 +107,57 @@ def diagonal_band_integral(w: StepGraphon, halfwidth: float) -> float:
 def _knap_fill_batch(scores, caps, alpha, minimize=False):
     """Best response of one window side: fill mass alpha through caps,
     preferring large scores (or small ones when minimising).  Batched over
-    rows; returns the fill matrix (same shape)."""
+    rows; returns the fill matrix (shape of ``caps``).  Closed cells may
+    carry cap 0 or -inf (see :func:`_signed_caps`).  A 1-D ``scores`` is
+    one row shared by every row of ``caps`` and is sorted once."""
     g = np.asarray(scores, dtype=np.float64)
     sign = 1.0 if minimize else -1.0
-    order = np.argsort(sign * g, axis=1, kind="stable")
-    cs = np.take_along_axis(caps, order, axis=1)
+    order = np.argsort(sign * g, axis=-1, kind="stable")
+    if order.ndim == 1:
+        order = np.broadcast_to(order, caps.shape)
+    cs = np.maximum(np.take_along_axis(caps, order, axis=1), 0.0)
     cum = np.cumsum(cs, axis=1)
     fill = np.clip(alpha - (cum - cs), 0.0, cs)
     out = np.empty_like(fill)
     np.put_along_axis(out, order, fill, axis=1)
+    return out
+
+
+def _signed_caps(caps):
+    """Caps with every closed cell (cap 0) set to -inf, so that one array
+    both fills and masks: ``caps * inf`` is +inf on open cells and -inf on
+    closed ones."""
+    return np.where(caps > 0, caps, -np.inf)
+
+
+def _knap_fill_top(scores, caps, alpha, kk):
+    """:func:`_knap_fill_batch` (maximising) that sorts only the ``kk`` best
+    open cells of each row; ``caps`` are signed.  Same bits: closed cells
+    sort last and add exact zeros, the slice is sorted stably in index
+    order, and a row whose slice cannot decide its fill (its boundary key
+    ties the slice, or the slice holds at most alpha + 1e-9 of mass while
+    open cells lie outside it) takes the full sort.  One row, or kk >= n,
+    takes the full sort outright."""
+    g = np.asarray(scores, dtype=np.float64)
+    p_cnt, n = g.shape
+    if kk >= n or p_cnt < 2:
+        return _knap_fill_batch(g, caps, alpha)
+    key = caps * np.inf                        # -g on open cells, +inf on
+    np.negative(np.minimum(key, g, out=key), out=key)   # closed ones (sort last)
+    part = np.argpartition(key, kk, axis=1)
+    row = np.arange(p_cnt)[:, None]
+    nxt = key[row[:, 0], part[:, kk]]
+    flat = np.sort(part[:, :kk], axis=1) + row * n     # flat indices, rows in order
+    ks = key.take(flat)
+    flat = flat.take(np.argsort(ks, axis=1, kind="stable") + row * kk)
+    cs = np.maximum(caps.take(flat), 0.0)
+    cum = np.cumsum(cs, axis=1)
+    fill = np.clip(alpha - (cum - cs), 0.0, cs)
+    out = np.zeros_like(g)
+    out.put(flat, fill)
+    redo = np.isfinite(nxt) & ((nxt <= ks.max(axis=1)) | (cum[:, -1] <= alpha + 1e-9))
+    if redo.any():
+        out[redo] = _knap_fill_batch(g[redo], caps[redo], alpha)
     return out
 
 
@@ -131,25 +173,26 @@ def _availability(points, n, side):
 
 
 def _t_starts(v, alpha, b_caps):
-    """The five deterministic starts for the T side, built one at a time."""
-    p_cnt, n = b_caps.shape
-    asc = np.broadcast_to(np.arange(n, dtype=np.float64), (p_cnt, n))
+    """The five deterministic starts for the T side, built one at a time.
+    The score rows are shared by every point, so each is sorted once."""
+    asc = np.arange(b_caps.shape[1], dtype=np.float64)
     yield _knap_fill_batch(asc, b_caps, alpha, minimize=True)             # hug y
     yield _knap_fill_batch(asc, b_caps, alpha, minimize=False)            # hug 1
+    uni = np.maximum(b_caps, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        tot = b_caps.sum(axis=1, keepdims=True)
-        uni = np.where(tot > 0, b_caps * (alpha / tot), 0.0)
+        tot = uni.sum(axis=1, keepdims=True)
+        uni *= np.where(tot > 0, alpha / tot, 0.0)
     yield uni                                                             # spread
-    colmean = np.broadcast_to(v.mean(axis=0), (p_cnt, n))
-    yield _knap_fill_batch(colmean, b_caps, alpha)                        # heavy cols
-    mid = np.abs(asc - (n - 1) / 2.0)
+    yield _knap_fill_batch(v.mean(axis=0), b_caps, alpha)                 # heavy cols
+    mid = np.abs(asc - (asc.size - 1) / 2.0)
     yield _knap_fill_batch(mid, b_caps, alpha, minimize=True)             # middle
 
 
 def _ul_heuristic_many(v, alpha, a_caps, b_caps, iters=40):
     """Vectorised alternating maximisation of the window average across many
-    query points.  ``a_caps``/``b_caps`` are (P, n) availability matrices.
-    Returns the best value per point (already divided by alpha^2).
+    query points.  ``a_caps``/``b_caps`` are (P, n) signed availability
+    matrices (:func:`_signed_caps`).  Returns the best value per point
+    (already divided by alpha^2).
 
     Each start alternates only the rows still moving.  The S response is a
     function of t alone, so a row whose new t equals its old t is at a fixed
@@ -157,15 +200,18 @@ def _ul_heuristic_many(v, alpha, a_caps, b_caps, iters=40):
     dropped.  Products of two or more rows give each row the same bits as the
     full product, but a one-row product does not (numpy routes it to gemv),
     so when P >= 2 a frozen row pads the active set to at least two rows.
+    A fill gives mass to at most floor(alpha n) + 2 cells (caps are at most
+    1/n), so the responses sort only floor(alpha n) + 3 cells per row.
     """
-    p_cnt = a_caps.shape[0]
+    p_cnt, n = a_caps.shape
+    kk = int(alpha * n) + 3
     best = np.full(p_cnt, -np.inf)
     for t in _t_starts(v, alpha, b_caps):
         prev = np.full(p_cnt, -np.inf)
         rows, a, b = np.arange(p_cnt), a_caps, b_caps
         for _ in range(iters):
-            sv = _knap_fill_batch(t @ v, a, alpha) @ v
-            t_new = _knap_fill_batch(sv, b, alpha)
+            sv = _knap_fill_top(t @ v, a, alpha, kk) @ v
+            t_new = _knap_fill_top(sv, b, alpha, kk)
             val = np.einsum("ij,ij->i", sv, t_new)
             if np.all(val <= prev[rows] + 1e-14):
                 break
@@ -254,7 +300,8 @@ def ul_sup(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
     if a.sum() < alpha - GUARD or b.sum() < alpha - GUARD:
         return 0.0
     if mode == "heuristic":
-        return float(_ul_heuristic_many(v, alpha, a[None, :], b[None, :])[0])
+        return float(_ul_heuristic_many(v, alpha, _signed_caps(a[None, :]),
+                                        _signed_caps(b[None, :]))[0])
     if mode != "exact":
         raise ValueError("mode must be exact or heuristic")
     # enumerate the sparser side; the graphon is symmetric so swapping sides
@@ -402,7 +449,11 @@ class RobinsonApprox:
 def _grid_size(w, grid_n):
     """The grid resolution: ``grid_n``, or the kernel's own when None."""
     g = w.n if grid_n is None else grid_n
-    if not (float(g).is_integer() and g >= 1):
+    try:
+        ok = float(g).is_integer() and g >= 1
+    except (TypeError, ValueError):         # e.g. a string from a config file
+        ok = False
+    if not ok:
         raise ValueError("grid_n must be a positive integer")
     return int(g)
 
@@ -429,6 +480,7 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
     mode "auto" picks exact enumeration for small problems and the
     alternating heuristic otherwise.
     """
+    g = _grid_size(w, grid_n)
     if alpha == 0:
         chk = is_robinson(w, 1e-12)
         if not chk.robinson:
@@ -437,7 +489,6 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
                               mode="identity", robinson_validated=True)
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in [0, 1)")
-    g = _grid_size(w, grid_n)
     if mode == "auto":
         mode = "exact" if (w.n <= 12 and g <= 32) else "heuristic"
     if mode not in ("exact", "heuristic"):
@@ -452,9 +503,11 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
         a_caps = _availability(xs[feasible], w.n, "left")
         b_caps = _availability(ys[feasible], w.n, "right")
         ok = (a_caps.sum(axis=1) >= alpha - GUARD) & (b_caps.sum(axis=1) >= alpha - GUARD)
-        got = np.zeros(int(feasible.sum()))
+        a_caps = _signed_caps(a_caps[ok])      # frees the unfiltered caps
+        b_caps = _signed_caps(b_caps[ok])
+        got = np.zeros(ok.size)
         if np.any(ok):
-            got[ok] = _ul_heuristic_many(w.values, alpha, a_caps[ok], b_caps[ok])
+            got[ok] = _ul_heuristic_many(w.values, alpha, a_caps, b_caps)
         vals[feasible] = got
 
     grid = np.zeros((g, g))

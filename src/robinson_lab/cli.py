@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: lambda, gamma, cutnorm, approx, recover, regions, synth, render,
+Subcommands: lambda, cutnorm, approx, recover, regions, synth, render,
 selftest.  Reports are JSON (schema "robinson-lab/1", sorted keys); matrices
 use the plain-text format of :mod:`robinson_lab.core`.  Exit codes: 0 success,
 1 validation or I/O error (bad flags, bad config, bad input data, unwritable
@@ -111,21 +111,6 @@ def _cmd_lambda(args, cfg):
     return 0
 
 
-def _cmd_gamma(args, cfg):
-    w = _need_input(args)
-    r = int(args.refinement if args.refinement is not None else cfg["refinement"])
-    est = deviation.violation_score(w, refinement=r, mode=args.mode,
-                                    restarts=int(cfg["restarts"]),
-                                    seed=int(cfg["seed"]))
-    report = {
-        "schema": SCHEMA, "command": "gamma",
-        "value": est.value, "mode": est.mode, "refinement": est.refinement,
-        "witness": _cells(est.witness),
-    }
-    _emit(report, args.out)
-    return 0
-
-
 def _cmd_cutnorm(args, cfg):
     w = _need_input(args)
     if args.mode == "exact":
@@ -145,10 +130,17 @@ def _cmd_cutnorm(args, cfg):
     return 0
 
 
+def _grid_n(args, cfg):
+    """--grid, else the config gridN; None (or "null") means the input's own
+    size.  Other values reach the library as given, which rejects a value
+    that is not a positive integer."""
+    grid_n = cfg["gridN"] if args.grid is None else args.grid
+    return None if grid_n in (None, "null") else grid_n
+
+
 def _cmd_approx(args, cfg):
     w = _need_input(args)
-    grid_n = args.grid if args.grid is not None else cfg["gridN"]
-    grid_n = None if grid_n in (None, "null") else int(grid_n)
+    grid_n = _grid_n(args, cfg)
     if args.mode == "closed-form":
         ra = closed_form_robinson_ae(w, args.alpha, grid_n=grid_n)
     else:
@@ -184,8 +176,7 @@ def _csv_row(rep: dict) -> str:
 def _cmd_recover(args, cfg):
     w = _need_input(args)
     p = float(args.p) if args.p is not None else cfg["p"]
-    grid_n = cfg["gridN"] if args.grid is None else args.grid
-    grid_n = None if grid_n is None else int(grid_n)
+    grid_n = _grid_n(args, cfg)
     kw = dict(refinement=int(cfg["refinement"]), restarts=int(cfg["restarts"]),
               seed=int(cfg["seed"]), grid_n=grid_n,
               cutnorm_cap=int(cfg["cutnormCap"]))
@@ -405,12 +396,6 @@ def _build_parser():
     sp.add_argument("--refinement", type=int, default=None,
                     help="grid refinement (default: config refinement)")
     sp.set_defaults(fn=_cmd_lambda)
-
-    sp = sub.add_parser("gamma", help="legacy pointwise violation score")
-    common(sp)
-    sp.add_argument("--mode", choices=("auto", "exact", "heuristic"), default="auto")
-    sp.add_argument("--refinement", type=int, default=None)
-    sp.set_defaults(fn=_cmd_gamma)
 
     sp = sub.add_parser("cutnorm", help="cut norm (exact or local-search lower bound)")
     common(sp)

@@ -1,15 +1,10 @@
 """How far is a step graphon from Robinson form?
 
-Two scores live here.  The primary one (``deviation_exact`` /
-``deviation_heuristic``) averages the positive parts of two one-sided terms:
-for ordered cell-index triples A < B < C of equal size, how much mass the
-far box A x C carries above the nearer boxes B x C (left term) and A x B
-(right term, by symmetry).  It is zero on Robinson graphons, continuous in
+The deviation score (``deviation_exact`` / ``deviation_heuristic``) averages
+the positive parts of two one-sided terms: for ordered cell-index triples
+A < B < C of equal size, how much mass the far box A x C carries above the
+nearer boxes B x C (left term) and A x B (right term, by symmetry).  It is zero on Robinson graphons, continuous in
 cut norm, subadditive and positively homogeneous.
-
-The second (``violation_score``) is an older aggregate of row-wise
-monotonicity violations, kept for comparison experiments only; none of the
-recovery machinery depends on it.
 """
 
 from __future__ import annotations
@@ -268,108 +263,3 @@ def deviation_heuristic(w: StepGraphon, refinement: int = 1,
     left = _term_max_heuristic(v, q, restarts, rng)
     right = _term_max_heuristic(v[::-1, ::-1], q, restarts, rng)
     return _assemble(v, q, r, "heuristic", left, right)
-
-
-# ---------------------------------------------------------------------------
-# legacy aggregate violation score (comparison experiments only)
-
-@dataclasses.dataclass(frozen=True)
-class ViolationScore:
-    value: float
-    witness: CellSet      # the row subset attaining the reported value
-    mode: str
-    refinement: int
-
-
-def _pospart_integral(c, d, h):
-    """Vectorised integral of max(c + t*d, 0) for t in [0, h]."""
-    c = np.asarray(c, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    end = c + d * h
-    full = h * c + 0.5 * d * h * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = np.where(c >= 0, full, np.where(end <= 0, 0.0, end * end / (2.0 * d)))
-        down = np.where(c <= 0, 0.0, np.where(end >= 0, full, c * c / (-2.0 * d)))
-    return np.where(d > 0, up, np.where(d < 0, down, h * np.maximum(c, 0.0)))
-
-
-def _gamma_batch(v, q, bits):
-    """Violation score for a batch of row subsets (rows of ``bits`` in {0,1})."""
-    h = 1.0 / q
-    idx = np.arange(q)
-    dcol = v[:, None, :] - v[:, :, None]            # dcol[a, j, l] = v[a,l] - v[a,j]
-    low = dcol * (idx[:, None, None] < idx[None, :, None])    # rows a < j
-    high = (-dcol) * (idx[:, None, None] > idx[None, None, :])  # rows a > l, sign flipped
-    c1 = np.einsum("ba,ajl->bjl", bits, low) * h
-    c2 = np.einsum("ba,ajl->bjl", bits, high) * h
-    diag = np.diagonal(v)
-    d1 = bits[:, :, None] * (v - diag[:, None])[None, :, :]   # d1[b,j,l] = bits[b,j]*(v[j,l]-v[j,j])
-    d2 = bits[:, None, :] * (v - diag[:, None]).T[None, :, :]  # d2[b,j,l] = bits[b,l]*(v[l,j]-v[l,l])
-    contrib = _pospart_integral(c1, d1, h) + _pospart_integral(c2, d2, h)
-    mask = (idx[:, None] < idx[None, :]).astype(np.float64)
-    return np.einsum("bjl,jl->b", contrib, mask) * h
-
-
-def violation_score_exact(w: StepGraphon, refinement: int = 1) -> ViolationScore:
-    """Maximise the aggregate violation score over all cell subsets (2^q)."""
-    r = int(refinement)
-    q = w.n * r
-    if q > EXACT_DEVIATION_CAP:
-        raise ValueError("refined grid %d exceeds exact cap %d" % (q, EXACT_DEVIATION_CAP))
-    v = refine(w, r).values
-    best_val, best_mask = -np.inf, 0
-    batch = 512
-    for lo in range(0, 1 << q, batch):
-        masks = np.arange(lo, min(lo + batch, 1 << q), dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(q)[None, :]) & 1).astype(np.float64)
-        vals = _gamma_batch(v, q, bits)
-        m = int(np.argmax(vals))
-        if vals[m] > best_val:
-            best_val, best_mask = float(vals[m]), int(masks[m])
-    idx = tuple(int(i) for i in np.flatnonzero((best_mask >> np.arange(q)) & 1))
-    return ViolationScore(value=best_val, witness=CellSet(q, idx),
-                          mode="exact", refinement=r)
-
-
-def violation_score_heuristic(w: StepGraphon, refinement: int = 1,
-                              restarts: int = 20, seed: int = 0) -> ViolationScore:
-    """Single-cell-flip coordinate ascent from seeded random subsets."""
-    r = int(refinement)
-    q = w.n * r
-    v = refine(w, r).values
-    rng = np.random.Generator(np.random.Philox(seed))
-    flip_rows = np.abs(np.eye(q)[None, :, :])      # used to build flip batches
-    best_val, best_bits = -np.inf, np.zeros(q)
-    for start in range(max(1, restarts)):
-        bits = np.ones(q) if start == 0 else (rng.random(q) < 0.5).astype(np.float64)
-        val = float(_gamma_batch(v, q, bits[None, :])[0])
-        for _ in range(200):
-            cand = np.abs(bits[None, :] - flip_rows[0])
-            vals = _gamma_batch(v, q, cand)
-            m = int(np.argmax(vals))
-            if vals[m] <= val + 1e-15:
-                break
-            val, bits = float(vals[m]), cand[m]
-        if val > best_val:
-            best_val, best_bits = val, bits
-    idx = tuple(int(i) for i in np.flatnonzero(best_bits > 0.5))
-    return ViolationScore(value=best_val, witness=CellSet(q, idx),
-                          mode="heuristic", refinement=r)
-
-
-def violation_score(w: StepGraphon, refinement: int = 1, mode: str = "auto",
-                    restarts: int = 20, seed: int = 0) -> ViolationScore:
-    if mode not in ("auto", "exact", "heuristic"):
-        raise ValueError("mode must be auto, exact or heuristic")
-    if mode == "exact" or (mode == "auto" and w.n * refinement <= EXACT_DEVIATION_CAP):
-        return violation_score_exact(w, refinement)
-    return violation_score_heuristic(w, refinement, restarts=restarts, seed=seed)
-
-
-def recompute_violation_score(w: StepGraphon, est: ViolationScore) -> float:
-    """Value of the stored witness subset, recomputed from scratch."""
-    q = w.n * est.refinement
-    v = refine(w, est.refinement).values
-    bits = np.zeros(q)
-    bits[list(est.witness.indices)] = 1.0
-    return float(_gamma_batch(v, q, bits[None, :])[0])

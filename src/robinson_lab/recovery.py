@@ -24,7 +24,7 @@ import numpy as np
 from .core import StepGraphon, cutoff, is_robinson, lp_norm, refine
 from .cutnorm import DEFAULT_DISPATCH_CAP, cut_norm
 from .deviation import EXACT_DEVIATION_CAP, DeviationCertificate, deviation_exact, deviation_heuristic
-from .approx import RobinsonApprox, robinson_approx
+from .approx import RobinsonApprox, _grid_size, robinson_approx
 
 
 def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
@@ -201,6 +201,7 @@ def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
         raise ValueError("norm index p must exceed 5")
     if w.values.min() < 0:
         raise ValueError("kernel must be nonnegative")
+    _grid_size(w, grid_n)
 
     timings = {}
     t0 = time.perf_counter()
@@ -293,6 +294,7 @@ def recover_bounded(w: StepGraphon, refinement: int = 2, restarts: int = 50,
     smallest positive width 1/n with a report warning.  Returns
     ``(RobinsonApprox, RecoveryReport)``.
     """
+    _grid_size(w, grid_n)
     sup = lp_norm(w, np.inf)
     unit = w.values.min() >= -1e-12 and w.values.max() <= 1.0 + 1e-12
 

@@ -19,7 +19,14 @@ from robinson_lab import (
     toeplitz_decay,
     ul_sup,
 )
-from robinson_lab.approx import _availability, _knap_fill_batch, _ul_heuristic_many
+import robinson_lab.approx as approx_mod
+from robinson_lab.approx import (
+    _availability,
+    _knap_fill_batch,
+    _knap_fill_top,
+    _signed_caps,
+    _ul_heuristic_many,
+)
 
 AGREE_TOL = 1e-9
 LOWER_TOL = 1e-12
@@ -209,9 +216,94 @@ def test_heuristic_loop_matches_the_dense_reference():
             a_caps = _availability(xs, n, "left")
             b_caps = _availability(ys, n, "right")
             want, lone_mover = dense_ul_heuristic(v, alpha, a_caps, b_caps)
-            assert np.array_equal(_ul_heuristic_many(v, alpha, a_caps, b_caps), want)
+            got = _ul_heuristic_many(v, alpha, _signed_caps(a_caps), _signed_caps(b_caps))
+            assert np.array_equal(got, want)
             lone += lone_mover
     assert lone > 0          # the one-row padding case was exercised
+
+
+def fill_rows(rng, p_cnt, n, alpha, kk):
+    """Scores and caps that cover the top-K kernel's cases: random,
+    three-valued and signed-zero scores; availability-like caps, rows with
+    at most kk open cells, and rows whose open mass is about alpha."""
+    kind = rng.integers(3)
+    if kind == 0:
+        scores = rng.normal(size=(p_cnt, n))
+    elif kind == 1:
+        scores = rng.integers(0, 3, (p_cnt, n)).astype(np.float64)
+    else:
+        scores = np.where(rng.random((p_cnt, n)) < 0.5, -0.0, 0.0)
+        scores[rng.random((p_cnt, n)) < 0.2] = 1.0
+    caps = np.zeros((p_cnt, n))
+    for row in caps:
+        shape = rng.integers(4)
+        if shape == 0:                            # an availability row
+            row[:] = _availability(rng.uniform(0.0, 1.0, 1), n, "right")[0]
+        elif shape == 1:                          # random open cells
+            row[rng.random(n) < rng.uniform(0.2, 1.0)] = 1.0 / n
+        else:                                     # open mass about alpha
+            few = min(kk, n)
+            m = int(rng.integers(1, few + 1) if shape == 2 else rng.integers(few, n + 1))
+            row[rng.permutation(n)[:m]] = (alpha + rng.uniform(-1e-15, 1e-15)) / m
+    return scores, caps
+
+
+def test_top_k_fill_matches_the_full_sort(monkeypatch):
+    full = approx_mod._knap_fill_batch
+    fallback_rows = []
+
+    def spy(scores, caps, alpha, minimize=False):
+        fallback_rows.append(len(scores))
+        return full(scores, caps, alpha, minimize)
+
+    monkeypatch.setattr(approx_mod, "_knap_fill_batch", spy)
+    rng = np.random.Generator(np.random.Philox(515))
+    gated = topk_rows = 0
+    for p_cnt in (1, 2, 3, 200):
+        for n in (3, 5, 8, 17, 40):
+            for _ in range(6):
+                alpha = float(rng.uniform(0.05, 0.45))
+                kk = int(alpha * n) + 3
+                scores, caps = fill_rows(rng, p_cnt, n, alpha, kk)
+                want = full(scores, caps, alpha)
+                before = len(fallback_rows)
+                got = _knap_fill_top(scores, _signed_caps(caps), alpha, kk)
+                assert np.array_equal(got, want)
+                assert not np.signbit(got).any()
+                if kk >= n or p_cnt < 2:
+                    gated += 1
+                    del fallback_rows[before:]    # the full kernel outright
+                else:
+                    topk_rows += p_cnt
+    assert gated
+    assert 0 < sum(fallback_rows) < topk_rows      # some rows fell back, not all
+
+
+def test_top_k_fill_falls_back_only_when_the_slice_cannot_decide(monkeypatch):
+    full = approx_mod._knap_fill_batch
+    seen = []
+
+    def spy(scores, caps, alpha, minimize=False):
+        seen.append(np.array(scores))
+        return full(scores, caps, alpha, minimize)
+
+    monkeypatch.setattr(approx_mod, "_knap_fill_batch", spy)
+    n, alpha = 20, 0.1
+    kk = int(alpha * n) + 3
+    rng = np.random.Generator(np.random.Philox(516))
+    scores = rng.normal(size=(5, n))
+    caps = np.full((5, n), 1.0 / n)
+    caps[1] = 0.0                        # 3 open cells holding alpha: all in the slice
+    caps[1, [2, 9, 15]] = alpha / 3
+    scores[2] = np.arange(n) % 2         # ties across the slice boundary
+    caps[3] = alpha / (kk + 1)           # the slice holds less than alpha
+    scores[4] = -np.arange(n)            # the slice holds alpha + 2e-17; the next
+    caps[4, :kk] = alpha / kk            # cell's prefix rounds below alpha and
+    caps[4, kk - 1] += 2e-17             # gets a sliver of mass
+    caps[4, kk] = 0.5
+    got = _knap_fill_top(scores, _signed_caps(caps), alpha, kk)
+    assert np.array_equal(got, full(scores, caps, alpha))
+    assert len(seen) == 1 and np.array_equal(seen[0], scores[2:])
 
 
 def test_heuristic_approximation_bytes_are_pinned():
@@ -333,6 +425,8 @@ def test_grid_n_must_be_a_positive_integer():
     for bad in (2.5, 0, -3, float("nan")):
         with pytest.raises(ValueError, match="grid_n must be a positive integer"):
             robinson_approx(w, 0.25, grid_n=bad)
+        with pytest.raises(ValueError, match="grid_n must be a positive integer"):
+            robinson_approx(w, 0.0, grid_n=bad)
         with pytest.raises(ValueError, match="grid_n must be a positive integer"):
             closed_form_robinson_ae(w, 0.25, grid_n=bad)
     assert robinson_approx(w, 0.25, grid_n=np.int64(4)).grid_n == 4

@@ -1,4 +1,4 @@
-"""Robinson deviation score and the legacy violation score.
+"""Robinson deviation score.
 
 The oracle enumerates every ordered triple directly with itertools, so it
 shares no code with the stratified solver it checks.
@@ -15,12 +15,8 @@ from robinson_lab import (
     deviation_exact,
     deviation_heuristic,
     lp_norm,
-    recompute_violation_score,
     smooth_exp,
     toeplitz_decay,
-    violation_score,
-    violation_score_exact,
-    violation_score_heuristic,
 )
 from robinson_lab.deviation import EXACT_DEVIATION_CAP
 
@@ -224,54 +220,3 @@ def test_heuristic_pinned_certificates(n, value, left, right, wit_left, wit_righ
     assert (cert.value.hex(), cert.term_left.hex(), cert.term_right.hex()) == (value, left, right)
     assert tuple(s.indices for s in cert.witness_left) == wit_left
     assert tuple(s.indices for s in cert.witness_right) == wit_right
-
-
-# ---------------------------------------------------------------------------
-# legacy violation score (kept for comparisons; nothing downstream uses it)
-
-def test_violation_score_pinned_example():
-    w = StepGraphon(N3_VALUES)
-    est = violation_score_exact(w, 1)
-    assert est.value == pytest.approx(0.1111111111111111, abs=1e-12)
-    assert est.witness.indices == (0, 2)
-    heur = violation_score_heuristic(w, 1, seed=0)
-    assert heur.value == pytest.approx(est.value, abs=1e-12)
-    assert heur.witness.indices == (0, 1, 2)
-
-
-def test_violation_score_zero_on_robinson():
-    for w in (toeplitz_decay(5, seed=4), StepGraphon(np.full((3, 3), 2.0)),
-              StepGraphon(np.zeros((4, 4)))):
-        assert violation_score_exact(w, 1).value == 0.0
-        assert violation_score_heuristic(w, 1, seed=1).value == 0.0
-
-
-def test_violation_score_witness_recompute():
-    rng = np.random.Generator(np.random.Philox(61))
-    for trial in range(20):
-        n = int(rng.integers(3, 7))
-        w = sym(rng, n, 0, 2)
-        for est in (violation_score_exact(w, 1),
-                    violation_score_heuristic(w, 1, seed=trial)):
-            assert abs(recompute_violation_score(w, est) - est.value) <= 1e-9
-
-
-def test_violation_score_heuristic_is_lower_bound():
-    rng = np.random.Generator(np.random.Philox(62))
-    for trial in range(20):
-        n = int(rng.integers(3, 7))
-        w = sym(rng, n, -1, 2)
-        assert (violation_score_heuristic(w, 1, seed=trial).value
-                <= violation_score_exact(w, 1).value + 1e-12)
-
-
-def test_violation_score_dispatcher_and_cap():
-    w = StepGraphon(np.zeros((16, 16)))
-    with pytest.raises(ValueError):
-        violation_score_exact(w, 1)
-    assert violation_score(w, 1).mode == "heuristic"
-    small = StepGraphon(N3_VALUES)
-    assert violation_score(small, 1).mode == "exact"
-    assert violation_score(small, 1, mode="heuristic").mode == "heuristic"
-    with pytest.raises(ValueError):
-        violation_score(small, 1, mode="bogus")

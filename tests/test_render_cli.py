@@ -181,16 +181,6 @@ def test_cli_lambda_auto_follows_recover_dispatch(tmp_path, capsys, n):
     assert (rep["mode"], rep["refinement"], rep["value"]) == (cert.mode, cert.refinement, cert.value)
 
 
-def test_cli_gamma_pinned_value(tmp_path, capsys):
-    path = tmp_path / "n3.txt"
-    save_graphon(StepGraphon(N3), path)
-    code, rep = run_json(["gamma", "--in", str(path), "--refinement", "1"], capsys)
-    assert code == 0
-    assert rep["value"] == 0.1111111111111111
-    assert rep["witness"] == [0, 2]
-    assert rep["mode"] == "exact"
-
-
 def test_cli_cutnorm_sign_example(tmp_path, capsys):
     path = tmp_path / "sign.txt"
     save_graphon(StepGraphon(np.array([[1.0, -1.0], [-1.0, 1.0]])), path)
@@ -211,6 +201,25 @@ def test_cli_approx_block_example(tmp_path, capsys):
     expected = np.zeros((8, 8))
     expected[2:6, 2:6] = 1.0
     assert np.array_equal(load_graphon(out).values, expected)
+
+
+@pytest.mark.parametrize("bad", [2.5, 0, -3])
+def test_cli_grid_n_must_be_a_positive_integer(tmp_path, capsys, bad):
+    path = tmp_path / "w.txt"
+    save_graphon(toeplitz_decay(8, seed=1), path)
+    config = ["--config", json.dumps({"gridN": bad})]
+    for cmd in (["approx", "--alpha", "0.25"], ["recover"], ["recover", "--bounded"]):
+        assert cli.main(cmd + ["--in", str(path)] + config) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid_n must be a positive integer" in captured.err
+    if bad != 2.5:
+        assert cli.main(["approx", "--alpha", "0.25", "--in", str(path),
+                         "--grid", str(bad)]) == 1
+        assert "grid_n must be a positive integer" in capsys.readouterr().err
+    code, rep = run_json(["approx", "--alpha", "0.25", "--in", str(path),
+                          "--config", '{"gridN": 4.0}'], capsys)
+    assert code == 0 and rep["gridN"] == 4
 
 
 def test_cli_recover_json_and_csv(tmp_path, capsys):
