@@ -59,14 +59,19 @@ def cut_norm_exact(w: StepGraphon, cap: int = EXACT_HARD_CAP) -> CutNormResult:
     total = 1 << n
     chunk = 1 << min(_CHUNK_BITS, n)
 
-    # pass 1: per-chunk maxima of the raw (unnormalised) objective
-    chunk_best = []
-    for lo in range(0, total, chunk):
+    def scan(lo):
         masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         c = _mask_bits(masks, n) @ v
         pos = np.where(c > 0, c, 0.0).sum(axis=1)
         neg = np.where(c < 0, -c, 0.0).sum(axis=1)
-        chunk_best.append(float(np.maximum(pos, neg).max()))
+        return masks, c, pos, neg, np.maximum(pos, neg)
+
+    # pass 1: per-chunk maxima of the raw (unnormalised) objective; the last
+    # chunk's arrays are kept, so a single chunk (n <= 16) is scanned once
+    chunk_best = []
+    for lo in range(0, total, chunk):
+        last = scan(lo)
+        chunk_best.append(float(last[4].max()))
     best_raw = max(chunk_best)
 
     # pass 2: fsum-refine every near-optimal candidate; ties go to the
@@ -76,11 +81,8 @@ def cut_norm_exact(w: StepGraphon, cap: int = EXACT_HARD_CAP) -> CutNormResult:
     for ci, lo in enumerate(range(0, total, chunk)):
         if chunk_best[ci] < best_raw - slack:
             continue
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        c = _mask_bits(masks, n) @ v
-        pos = np.where(c > 0, c, 0.0).sum(axis=1)
-        neg = np.where(c < 0, -c, 0.0).sum(axis=1)
-        for row in np.flatnonzero(np.maximum(pos, neg) >= best_raw - slack):
+        masks, c, pos, neg, top = last if lo + chunk >= total else scan(lo)
+        for row in np.flatnonzero(top >= best_raw - slack):
             mask = int(masks[row])
             s_idx = np.flatnonzero((mask >> np.arange(n)) & 1)
             for sign, branch in ((1.0, pos[row]), (-1.0, neg[row])):

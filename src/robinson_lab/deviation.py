@@ -172,7 +172,9 @@ def _alternate(v, t2, s, c, k):
     drawn from ``[0, s[i])`` and B from ``[s[i], t2[i])``.  Each round
     answers C with (A, B) and then (A, B) with C; a start stops after the
     first round once its value fails to improve by more than 1e-15, keeping
-    its best triple, and after 30 rounds at the latest.  Row sums gather
+    its best triple, and after 30 rounds at the latest.  A start whose C
+    comes back unchanged is at a fixed point: its next round would repeat
+    this one bit for bit and then stop, so it stops now.  Row sums gather
     ascending index sets and add them in that order, so every start computes
     what it would compute alone.  Returns the best values and the (A, B, C)
     index arrays of shape (3, starts, k).
@@ -189,16 +191,50 @@ def _alternate(v, t2, s, c, k):
         a = _pick(np.where(in_a[live], -f, np.inf), k)
         b = _pick(np.where(in_b[live], f, np.inf), k)
         g = v[a].sum(axis=1) - v[b].sum(axis=1)
-        c = _pick(np.where(in_c[live], -g, np.inf), k)
-        val = np.take_along_axis(g, c, axis=1).sum(axis=1)
+        c_new = _pick(np.where(in_c[live], -g, np.inf), k)
+        val = np.take_along_axis(g, c_new, axis=1).sum(axis=1)
         if rnd:
             up = val > best[live] + 1e-15
-            live, a, b, c, val = live[up], a[up], b[up], c[up], val[up]
-            if not len(live):
-                break
+            live, a, b, c, c_new, val = live[up], a[up], b[up], c[up], c_new[up], val[up]
         best[live] = val
-        trip[:, live] = a, b, c
+        trip[:, live] = a, b, c_new
+        moved = (c_new != c).any(axis=1)
+        live, c = live[moved], c_new[moved]
+        if not len(live):
+            break
     return best, trip
+
+
+def _start_table(q, restarts, rng):
+    """Every start of the left-term search: split t2, split s, block size k.
+
+    The swept starts come first, lattice splits with each block size of
+    ``_block_sizes`` and C = t2, ..., t2 + k - 1.  The seeded restarts
+    follow, drawn from ``rng`` one at a time; ``drawn`` holds their
+    ascending C blocks in that order.
+    """
+    def lattice(lo, hi):   # up to _SWEEP_CAP integers in [lo, hi]
+        if hi < lo:
+            return []
+        pts = np.unique(np.linspace(lo, hi, min(_SWEEP_CAP, hi - lo + 1)).round().astype(int))
+        return [int(p) for p in pts]
+
+    t2, s = np.array([(t2, s) for t2 in lattice(2, q - 1) for s in lattice(1, t2 - 1)],
+                     dtype=np.intp).T
+    sizes = [_block_sizes(m) for m in np.minimum(np.minimum(s, t2 - s), q - t2).tolist()]
+    counts = [len(ks) for ks in sizes]
+    t2, s = np.repeat(t2, counts), np.repeat(s, counts)
+    k = np.concatenate(sizes).astype(np.intp)
+    drawn = []
+    rest = np.empty((3, restarts), dtype=np.intp)
+    for j in range(restarts):
+        rt = int(rng.integers(2, q))
+        rs = int(rng.integers(1, rt))
+        rk = int(rng.integers(1, min(rs, rt - rs, q - rt) + 1))
+        rest[:, j] = rt, rs, rk
+        drawn.append(np.sort(rng.choice(np.arange(rt, q), size=rk, replace=False)))
+    return (np.concatenate([t2, rest[0]]), np.concatenate([s, rest[1]]),
+            np.concatenate([k, rest[2]]), drawn)
 
 
 def _term_max_heuristic(v, q, restarts, rng):
@@ -211,36 +247,23 @@ def _term_max_heuristic(v, q, restarts, rng):
     """
     if q < 3:
         return None, None
-
-    def lattice(lo, hi):   # up to _SWEEP_CAP integers in [lo, hi]
-        if hi < lo:
-            return []
-        pts = np.unique(np.linspace(lo, hi, min(_SWEEP_CAP, hi - lo + 1)).round().astype(int))
-        return [int(p) for p in pts]
-
-    starts = [(t2, s, tuple(range(t2, t2 + k)))
-              for t2 in lattice(2, q - 1) for s in lattice(1, t2 - 1)
-              for k in _block_sizes(min(s, t2 - s, q - t2))]
-    for _ in range(restarts):
-        t2 = int(rng.integers(2, q))
-        s = int(rng.integers(1, t2))
-        k = int(rng.integers(1, min(s, t2 - s, q - t2) + 1))
-        starts.append((t2, s, tuple(np.sort(rng.choice(np.arange(t2, q), size=k, replace=False)))))
-
-    by_k = {}
-    for i, (_, _, c0) in enumerate(starts):
-        by_k.setdefault(len(c0), []).append(i)
-    values = np.empty(len(starts))
+    t2, s, k, drawn = _start_table(q, restarts, rng)
+    n_sweep = len(k) - restarts
+    values = np.empty(len(k))
     leaders = {}   # index of each chunk's first best start -> its triple
-    for k, idx in by_k.items():
-        step = max(1, (1 << 17) // (k * q))
+    # values and leaders are indexed by start: the group order cannot change the winner
+    for kk in np.unique(k).tolist():
+        idx = np.flatnonzero(k == kk)
+        step = max(1, (1 << 17) // (kk * q))
         for lo in range(0, len(idx), step):
             chunk = idx[lo:lo + step]
-            t2, s, c0 = (np.array(col) for col in zip(*(starts[i] for i in chunk)))
-            best, trip = _alternate(v, t2, s, c0, k)
+            c0 = t2[chunk, None] + np.arange(kk)
+            for row in np.flatnonzero(chunk >= n_sweep).tolist():
+                c0[row] = drawn[chunk[row] - n_sweep]
+            best, trip = _alternate(v, t2[chunk], s[chunk], c0, kk)
             values[chunk] = best
             m = int(np.argmax(best))
-            leaders[chunk[m]] = tuple(tuple(int(i) for i in part[m]) for part in trip)
+            leaders[int(chunk[m])] = tuple(tuple(int(i) for i in part[m]) for part in trip)
     best_trip = leaders[int(np.argmax(values))]
     return _triple_value(v, *best_trip, q=q, right=False), best_trip
 

@@ -179,6 +179,14 @@ def _identity_approx(w: StepGraphon):
                           mode="identity", robinson_validated=validated)
 
 
+def _ignored_grid_warning(w: StepGraphon, g: int) -> Optional[str]:
+    """The alpha-zero report's warning: set when a grid other than n was asked."""
+    if g == w.n:
+        return None
+    return ("grid_n=%d ignored: a zero deviation returns the %dx%d input itself"
+            % (g, w.n, w.n))
+
+
 def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
             restarts: int = 50, seed: int = 0, grid_n: Optional[int] = None,
             approx_mode: str = "auto", cutnorm_cap: int = DEFAULT_DISPATCH_CAP,
@@ -190,9 +198,13 @@ def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
     :func:`recover_bounded` for the p = inf route.
 
     A zero deviation estimate takes the identity path only when the matrix
-    itself passes the Robinson check; otherwise (possible only with heuristic
-    estimates) the pipeline falls back to the smallest positive width 1/n and
-    flags the report, so every emitted approximation is Robinson.
+    itself passes the Robinson check.  That path returns the n x n input, so
+    a ``grid_n`` other than n is ignored and the report warning says so.
+    Otherwise the pipeline falls back to the smallest positive width 1/n and
+    flags the report, so every emitted approximation is Robinson.  Either
+    estimator can return zero on a non-Robinson matrix: the heuristic may
+    miss a violation, and the exact one enumerates only the r-refined
+    lattice, which at r = 1 cannot see a violation inside one cell.
     """
     p = float(p)
     if math.isinf(p):
@@ -201,7 +213,7 @@ def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
         raise ValueError("norm index p must exceed 5")
     if w.values.min() < 0:
         raise ValueError("kernel must be nonnegative")
-    _grid_size(w, grid_n)
+    g = _grid_size(w, grid_n)
 
     timings = {}
     t0 = time.perf_counter()
@@ -223,14 +235,16 @@ def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
             deviation_mode=cert.mode, theory_bound=0.0,
             measured_error=0.0, measured_error_exact=True,
             approx_mode="identity", approx_grid=w.n,
-            robinson_validated=True, timings=timings, warning=None)
+            robinson_validated=True, timings=timings,
+            warning=_ignored_grid_warning(w, g))
         return approx, report
 
     warning = None
     if lam == 0.0:
-        # estimator blind spot (heuristic paths only: exact enumeration always
-        # detects a pointwise violation).  A width of 0 would emit the
-        # non-Robinson input itself, so use the smallest positive width.
+        # estimator blind spot: the heuristic can miss a violation, and exact
+        # enumeration at r = 1 cannot see one inside a single cell (a dipped
+        # diagonal cell, say).  A width of 0 would emit the non-Robinson
+        # input itself, so use the smallest positive width.
         case = "fallback-min-alpha"
         warning = ("deviation estimate is zero but the matrix is not "
                    "Robinson; falling back to the smallest positive width")
@@ -291,10 +305,11 @@ def recover_bounded(w: StepGraphon, refinement: int = 2, restarts: int = 50,
     explicit rescaling is performed).
 
     A zero deviation estimate on a non-Robinson matrix falls back to the
-    smallest positive width 1/n with a report warning.  Returns
-    ``(RobinsonApprox, RecoveryReport)``.
+    smallest positive width 1/n with a report warning; on a Robinson matrix
+    it returns the n x n input, and the warning says when that ignores
+    ``grid_n``.  Returns ``(RobinsonApprox, RecoveryReport)``.
     """
-    _grid_size(w, grid_n)
+    g = _grid_size(w, grid_n)
     sup = lp_norm(w, np.inf)
     unit = w.values.min() >= -1e-12 and w.values.max() <= 1.0 + 1e-12
 
@@ -315,7 +330,8 @@ def recover_bounded(w: StepGraphon, refinement: int = 2, restarts: int = 50,
                 deviation_mode=cert.mode, theory_bound=0.0,
                 measured_error=0.0, measured_error_exact=True,
                 approx_mode="identity", approx_grid=w.n,
-                robinson_validated=True, timings=timings, warning=None)
+                robinson_validated=True, timings=timings,
+                warning=_ignored_grid_warning(w, g))
             return approx, report
         # zero estimate on a non-Robinson matrix: width 0 would be invalid
         case = "fallback-min-alpha"

@@ -129,3 +129,24 @@ def test_exact_cap_enforced():
         cut_norm_exact(StepGraphon(np.zeros((17, 17))), cap=16)
     with pytest.raises(ValueError):
         cut_norm_local_search(StepGraphon(np.zeros((3, 3))), restarts=0)
+
+
+# cut_norm_exact on sym(Philox(n), n), and at n = 17 also on its reversal,
+# whose witness lies in the second chunk: (n, reversed, value hex, S, T)
+EXACT_PINS = [
+    (16, False, '0x1.e695a825e30acp-5', (1, 3, 4, 6, 7, 8, 10, 11, 12),
+     (1, 2, 3, 4, 6, 7, 8, 10, 11, 14)),
+    (17, False, '0x1.f20947cc5e2ecp-5', (0, 1, 2, 8, 9, 10, 12, 13, 14, 15),
+     (0, 1, 2, 4, 8, 9, 10, 12, 13, 14, 15, 16)),
+    (17, True, '0x1.f20947cc5e2ecp-5', (1, 2, 3, 4, 6, 7, 8, 14, 15, 16),
+     (0, 1, 2, 3, 4, 6, 7, 8, 12, 14, 15, 16)),
+]
+
+
+@pytest.mark.parametrize("n, flip, value, s_idx, t_idx", EXACT_PINS,
+                         ids=["n16", "n17", "n17-reversed"])
+def test_exact_pinned_at_one_and_two_chunks(n, flip, value, s_idx, t_idx):
+    v = sym(np.random.Generator(np.random.Philox(n)), n).values
+    r = cut_norm_exact(StepGraphon(v[::-1, ::-1] if flip else v))
+    assert r.value.hex() == value
+    assert (r.witness_s.indices, r.witness_t.indices) == (s_idx, t_idx)

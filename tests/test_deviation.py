@@ -18,7 +18,15 @@ from robinson_lab import (
     smooth_exp,
     toeplitz_decay,
 )
-from robinson_lab.deviation import EXACT_DEVIATION_CAP
+from robinson_lab import deviation as deviation_module
+from robinson_lab.deviation import (
+    _SWEEP_CAP,
+    EXACT_DEVIATION_CAP,
+    _block_sizes,
+    _pick,
+    _start_table,
+    _triple_value,
+)
 
 ORACLE_TOL = 1e-12
 N3_VALUES = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
@@ -220,3 +228,158 @@ def test_heuristic_pinned_certificates(n, value, left, right, wit_left, wit_righ
     assert (cert.value.hex(), cert.term_left.hex(), cert.term_right.hex()) == (value, left, right)
     assert tuple(s.indices for s in cert.witness_left) == wit_left
     assert tuple(s.indices for s in cert.witness_right) == wit_right
+
+
+# ---------------------------------------------------------------------------
+# lockstep heuristic search against the loop and start list it replaced
+
+def reference_alternate(v, t2, s, c, k):
+    """The lockstep loop without fixed-point dropping, kept verbatim."""
+    cols = np.arange(v.shape[0])
+    in_a = cols < s[:, None]
+    in_b = ~in_a & (cols < t2[:, None])
+    in_c = cols >= t2[:, None]
+    best = np.full(len(c), -np.inf)
+    trip = np.empty((3, len(c), k), dtype=np.intp)
+    live = np.arange(len(c))
+    for rnd in range(30):
+        f = v[c].sum(axis=1)
+        a = _pick(np.where(in_a[live], -f, np.inf), k)
+        b = _pick(np.where(in_b[live], f, np.inf), k)
+        g = v[a].sum(axis=1) - v[b].sum(axis=1)
+        c = _pick(np.where(in_c[live], -g, np.inf), k)
+        val = np.take_along_axis(g, c, axis=1).sum(axis=1)
+        if rnd:
+            up = val > best[live] + 1e-15
+            live, a, b, c, val = live[up], a[up], b[up], c[up], val[up]
+            if not len(live):
+                break
+        best[live] = val
+        trip[:, live] = a, b, c
+    return best, trip
+
+
+def reference_starts(q, restarts, rng):
+    """The start list as (t2, s, C tuple), kept verbatim."""
+    def lattice(lo, hi):   # up to _SWEEP_CAP integers in [lo, hi]
+        if hi < lo:
+            return []
+        pts = np.unique(np.linspace(lo, hi, min(_SWEEP_CAP, hi - lo + 1)).round().astype(int))
+        return [int(p) for p in pts]
+
+    starts = [(t2, s, tuple(range(t2, t2 + k)))
+              for t2 in lattice(2, q - 1) for s in lattice(1, t2 - 1)
+              for k in _block_sizes(min(s, t2 - s, q - t2))]
+    for _ in range(restarts):
+        t2 = int(rng.integers(2, q))
+        s = int(rng.integers(1, t2))
+        k = int(rng.integers(1, min(s, t2 - s, q - t2) + 1))
+        starts.append((t2, s, tuple(np.sort(rng.choice(np.arange(t2, q), size=k, replace=False)))))
+    return starts
+
+
+def reference_chunks(starts, q):
+    """The block-size groups and chunks of the old search, in its order."""
+    by_k = {}
+    for i, (_, _, c0) in enumerate(starts):
+        by_k.setdefault(len(c0), []).append(i)
+    for k, idx in by_k.items():
+        step = max(1, (1 << 17) // (k * q))
+        for lo in range(0, len(idx), step):
+            yield k, idx[lo:lo + step]
+
+
+def reference_term_max(v, q, restarts, rng):
+    """The old left-term search on the verbatim start list and loop."""
+    if q < 3:
+        return None, None
+    starts = reference_starts(q, restarts, rng)
+    values = np.empty(len(starts))
+    leaders = {}
+    for k, chunk in reference_chunks(starts, q):
+        t2, s, c0 = (np.array(col) for col in zip(*(starts[i] for i in chunk)))
+        best, trip = reference_alternate(v, t2, s, c0, k)
+        values[chunk] = best
+        m = int(np.argmax(best))
+        leaders[chunk[m]] = tuple(tuple(int(i) for i in part[m]) for part in trip)
+    best_trip = leaders[int(np.argmax(values))]
+    return _triple_value(v, *best_trip, q=q, right=False), best_trip
+
+
+def _search_inputs():
+    """Random, three-valued (many ties) and noisy Toeplitz kernels at r = 1, 2, 3."""
+    rng = np.random.Generator(np.random.Philox(606))
+    for trial in range(18):
+        n = int(rng.integers(3, 16))
+        kind = trial % 3
+        if kind == 0:
+            m = rng.uniform(-1.0, 1.0, (n, n))
+        elif kind == 1:
+            m = rng.integers(0, 3, (n, n)).astype(float)
+        else:
+            m = toeplitz_decay(n, seed=trial).values + 0.3 * rng.uniform(-1.0, 1.0, (n, n))
+        r = 1 + trial % 4 % 3
+        v = np.kron(0.5 * (m + m.T), np.ones((r, r)))
+        yield v, int(rng.integers(0, 40)), trial
+
+
+def test_start_table_matches_the_reference_list():
+    for q in list(range(3, 40)) + [47, 64, 90]:
+        for restarts in (0, 1, 7, 50):
+            rng_new = np.random.Generator(np.random.Philox(q + restarts))
+            rng_ref = np.random.Generator(np.random.Philox(q + restarts))
+            t2, s, k, drawn = _start_table(q, restarts, rng_new)
+            ref = reference_starts(q, restarts, rng_ref)
+            n_sweep = len(k) - restarts
+            rows = [(int(t2[i]), int(s[i]),
+                     tuple(range(t2[i], t2[i] + k[i])) if i < n_sweep
+                     else tuple(drawn[i - n_sweep]))
+                    for i in range(len(k))]
+            assert rows == [(t, a, tuple(int(j) for j in c)) for t, a, c in ref]
+            assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)
+
+
+def test_lockstep_loop_matches_the_reference(monkeypatch):
+    live_new, live_ref = [], []
+    plain_pick = _pick
+
+    def counted(log):
+        def pick(key, k):
+            log.append(len(key))
+            return plain_pick(key, k)
+        return pick
+
+    monkeypatch.setattr(deviation_module, "_pick", counted(live_new))
+    monkeypatch.setitem(globals(), "_pick", counted(live_ref))
+    fewer = one_row = 0
+    for v, restarts, seed in _search_inputs():
+        q = v.shape[0]
+        for u in (v, v[::-1, ::-1]):
+            starts = reference_starts(q, restarts, np.random.Generator(np.random.Philox(seed)))
+            for k, chunk in reference_chunks(starts, q):
+                t2, s, c0 = (np.array(col) for col in zip(*(starts[i] for i in chunk)))
+                live_new.clear()
+                live_ref.clear()
+                best, trip = deviation_module._alternate(u, t2, s, c0, k)
+                ref_best, ref_trip = reference_alternate(u, t2, s, c0, k)
+                assert np.array_equal(best, ref_best)
+                assert np.array_equal(trip, ref_trip)
+                # three picks a round: the live rows of each round
+                rounds_new, rounds_ref = live_new[::3], live_ref[::3]
+                assert len(rounds_new) <= len(rounds_ref)
+                assert all(a <= b for a, b in zip(rounds_new, rounds_ref))
+                fewer += sum(rounds_new) < sum(rounds_ref)
+                one_row += any(a == 1 < b for a, b in zip(rounds_new, rounds_ref))
+    assert fewer and one_row   # fixed points were dropped, down to one-row batches
+
+
+def test_heuristic_search_matches_the_reference():
+    for v, restarts, seed in _search_inputs():
+        q = v.shape[0]
+        for u in (v, v[::-1, ::-1]):
+            rng_new = np.random.Generator(np.random.Philox(seed))
+            rng_ref = np.random.Generator(np.random.Philox(seed))
+            value, trip = deviation_module._term_max_heuristic(u, q, restarts, rng_new)
+            ref_value, ref_trip = reference_term_max(u, q, restarts, rng_ref)
+            assert (value, trip) == (ref_value, ref_trip)
+            assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)

@@ -241,6 +241,35 @@ def test_recover_fallback_when_estimator_misses(monkeypatch):
     assert is_robinson(approx.as_graphon(), 1e-12).robinson
 
 
+def test_recover_falls_back_on_an_exact_zero_estimate():
+    # one dipped diagonal cell: exact enumeration at r = 1 (n = 10) cannot
+    # see a violation inside a single cell, so the exact estimate is 0
+    v = np.array(toeplitz_decay(10, seed=4).values)
+    v[4, 4] -= 0.5
+    w = StepGraphon(v)
+    assert not is_robinson(w, 1e-12).robinson
+    for approx, rep in (recover(w, p=6.0), recover_bounded(w)):
+        assert rep.case_taken == "fallback-min-alpha"
+        assert rep.deviation_input == 0.0
+        assert rep.to_dict()["lambdaMode"] == "exact"
+        assert rep.alpha == pytest.approx(0.1, rel=1e-12)
+        assert "smallest positive width" in rep.warning
+        assert rep.robinson_validated
+        assert is_robinson(approx.as_graphon(), 1e-12).robinson
+
+
+def test_identity_path_reports_an_ignored_grid():
+    w = toeplitz_decay(6, seed=3)
+    for route in (lambda **k: recover(w, p=6.0, **k), lambda **k: recover_bounded(w, **k)):
+        for grid_n in (None, 6, 6.0):
+            approx, rep = route(grid_n=grid_n)
+            assert rep.case_taken == "alpha-zero" and rep.warning is None
+        approx, rep = route(grid_n=4)
+        assert rep.case_taken == "alpha-zero" and rep.approx_grid == 6
+        assert np.array_equal(approx.values, w.values)
+        assert rep.warning == "grid_n=4 ignored: a zero deviation returns the 6x6 input itself"
+
+
 def test_recover_clamps_width_below_one(monkeypatch):
     monkeypatch.setattr("robinson_lab.recovery.estimate_deviation",
                         lambda *a, **k: fixed_certificate(5.0))
