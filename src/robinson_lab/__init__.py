@@ -4,7 +4,7 @@ A step graphon is a symmetric piecewise-constant kernel on [0,1]^2.  This
 package measures its deviation from the Robinson ("values decay away from the
 diagonal") shape, recovers a certified Robinson approximation in cut norm, and
 ships the supporting machinery: exact and local-search cut norms, window
-sup/inf statistics, band/grey region diagnostics, interval splitting and
+supremum statistics, band/grey region diagnostics, interval splitting and
 pigeonhole shrinking, synthetic generators, and a CLI.
 """
 
@@ -32,7 +32,6 @@ from .approx import (
     RobinsonApprox,
     closed_form_robinson_ae,
     diagonal_band_integral,
-    lr_inf,
     monotone_envelope,
     robinson_approx,
     ul_sup,
@@ -84,8 +83,7 @@ __all__ = [
     "CutNormResult", "cut_norm", "cut_norm_exact", "cut_norm_local_search",
     "DeviationCertificate", "deviation_exact", "deviation_heuristic",
     "BoxIntegrator", "RobinsonApprox", "closed_form_robinson_ae",
-    "diagonal_band_integral", "lr_inf", "monotone_envelope",
-    "robinson_approx", "ul_sup",
+    "diagonal_band_integral", "monotone_envelope", "robinson_approx", "ul_sup",
     "BoundaryCurve", "RegionMap", "boundary_curve", "cell_crosses",
     "compute_regions", "largest_grey_square", "verify_partition",
     "IntervalSet", "SplitResult", "interval_set_integral",

@@ -1,12 +1,14 @@
 """End-to-end recovery of a Robinson approximation with a certified error bound.
 
-``recover`` normalizes a nonnegative kernel in an L^p norm (finite p > 5),
-estimates the ordered-shape deviation, clips large values at a threshold
-derived from that estimate, and picks the window width depending on whether
-the clipped kernel still shows positive deviation ("case1") or not ("case2").
-The approximation itself is always built from the normalized input; only the
-width differs between cases.  ``recover_bounded`` is the no-clipping variant
-for kernels that are already bounded.
+Both routes run one pipeline: normalize, estimate the ordered-shape
+deviation, pick the window width, approximate, measure the cut-norm error.
+They differ only in normalization and width.  ``recover`` normalizes a
+nonnegative kernel in an L^p norm (finite p > 5), clips large values at a
+threshold derived from the estimate, and picks the width depending on whether
+the clipped kernel still shows positive deviation ("case1") or not ("case2");
+the approximation itself is always built from the normalized input.
+``recover_bounded`` (p = inf) neither normalizes nor clips: the width comes
+straight from the estimate and the sup norm.
 
 Reported deviation values and the theoretical bound are in normalized units;
 the measured cut-norm error is in the units of the original input.
@@ -162,29 +164,87 @@ def measured_cut_error(w: StepGraphon, approx: RobinsonApprox,
     return res.value, res.exact
 
 
-def _rescale_approx(ra: RobinsonApprox, scale: float) -> RobinsonApprox:
-    if scale == 1.0:
-        return ra
-    vals = scale * ra.values
-    vals.flags.writeable = False
-    return RobinsonApprox(values=vals, alpha=ra.alpha, grid_n=ra.grid_n,
-                          mode=ra.mode, robinson_validated=ra.robinson_validated)
+def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
+              seed: int, approx_mode: str, cutnorm_cap: int, cutnorm_restarts: int):
+    """The recovery recipe both routes share: normalize (finite p only),
+    estimate, identity or fallback, width, approximate, measure.  Only the
+    width is route-specific.  ``g`` is the validated grid size."""
+    finite = not math.isinf(p)
+    timings = {}
+    scale, wn = 1.0, w
+    if finite:
+        t0 = time.perf_counter()
+        scale = lp_norm(w, p) or 1.0
+        wn = w if scale == 1.0 else (1.0 / scale) * w
+        timings["normalize"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
+    cert = estimate_deviation(wn, refinement, restarts, seed)
+    lam = cert.value
+    timings["deviation"] = time.perf_counter() - t0
 
-def _identity_approx(w: StepGraphon):
-    vals = np.array(w.values)
-    vals.flags.writeable = False
-    validated = bool(is_robinson(w, 1e-12).robinson)
-    return RobinsonApprox(values=vals, alpha=0.0, grid_n=w.n,
-                          mode="identity", robinson_validated=validated)
+    warning = threshold = lam_m = None
+    if lam == 0.0 and is_robinson(w, 1e-12).robinson:
+        case, alpha = "alpha-zero", 0.0
+        if g != w.n:
+            warning = ("grid_n=%d ignored: a zero deviation returns the %dx%d input itself"
+                       % (g, w.n, w.n))
+    elif lam == 0.0:
+        # estimator blind spot: the heuristic can miss a violation, and exact
+        # enumeration at r = 1 cannot see one inside a single cell (a dipped
+        # diagonal cell, say).  A width of 0 would emit the non-Robinson
+        # input itself, so use the smallest positive width.
+        case, alpha = "fallback-min-alpha", 1.0 / w.n
+        warning = ("deviation estimate is zero but the matrix is not "
+                   "Robinson; falling back to the smallest positive width")
+    elif finite:
+        t0 = time.perf_counter()
+        threshold = 2.0 * lam ** (-1.0 / (p - 1.0))
+        clip = cutoff(wn, threshold)
+        # a cutoff that clipped nothing hands back the same kernel: no new search
+        cert_m = estimate_deviation(clip.graphon, refinement, restarts, seed, known=(wn, cert))
+        lam_m = cert_m.value
+        timings["cutoff"] = time.perf_counter() - t0
+        if lam_m > 0.0:
+            case = "case1"
+            alpha = lp_norm(clip.graphon, np.inf) ** (-0.4) * lam_m ** 0.4
+        else:
+            case = "case2"
+            alpha = threshold ** (-0.4) * lam ** 0.4
+    else:
+        case = "bounded-corollary"
+        unit = w.values.min() >= -1e-12 and w.values.max() <= 1.0 + 1e-12
+        alpha = lp_norm(w, np.inf) ** (-1.0 / 3.0 if unit else -0.4) * lam ** 0.4
+    if alpha >= 1.0:
+        alpha = 1.0 - 1e-9
+        warning = "window width clamped below 1"
 
+    if case == "alpha-zero":
+        approx = robinson_approx(w, 0.0)
+        err, err_exact = 0.0, True
+    else:
+        t0 = time.perf_counter()
+        approx = robinson_approx(wn, alpha, grid_n=g, mode=approx_mode)
+        if scale != 1.0:
+            vals = scale * approx.values
+            vals.flags.writeable = False
+            approx = dataclasses.replace(approx, values=vals)
+        timings["approx"] = time.perf_counter() - t0
 
-def _ignored_grid_warning(w: StepGraphon, g: int) -> Optional[str]:
-    """The alpha-zero report's warning: set when a grid other than n was asked."""
-    if g == w.n:
-        return None
-    return ("grid_n=%d ignored: a zero deviation returns the %dx%d input itself"
-            % (g, w.n, w.n))
+        t0 = time.perf_counter()
+        err, err_exact = measured_cut_error(w, approx, cutnorm_cap, cutnorm_restarts, seed)
+        timings["measureError"] = time.perf_counter() - t0
+
+    report = RecoveryReport(
+        case_taken=case, p=p, alpha=float(alpha), normalization_scale=scale,
+        cutoff_threshold=threshold, deviation_input=lam,
+        deviation_cutoff=lam_m, deviation_mode=cert.mode,
+        theory_bound=theoretical_bound(p, lam, inf_norm=lp_norm(w, np.inf)),
+        measured_error=err, measured_error_exact=err_exact,
+        approx_mode=approx.mode, approx_grid=approx.grid_n,
+        robinson_validated=approx.robinson_validated,
+        timings=timings, warning=warning)
+    return approx, report
 
 
 def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
@@ -213,82 +273,8 @@ def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
         raise ValueError("norm index p must exceed 5")
     if w.values.min() < 0:
         raise ValueError("kernel must be nonnegative")
-    g = _grid_size(w, grid_n)
-
-    timings = {}
-    t0 = time.perf_counter()
-    scale = lp_norm(w, p)
-    wn = w if scale in (0.0, 1.0) else (1.0 / scale) * w
-    timings["normalize"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cert = estimate_deviation(wn, refinement, restarts, seed)
-    lam = cert.value
-    timings["deviation"] = time.perf_counter() - t0
-
-    if lam == 0.0 and is_robinson(w, 1e-12).robinson:
-        approx = _identity_approx(w)
-        report = RecoveryReport(
-            case_taken="alpha-zero", p=p, alpha=0.0,
-            normalization_scale=scale or 1.0, cutoff_threshold=None,
-            deviation_input=0.0, deviation_cutoff=None,
-            deviation_mode=cert.mode, theory_bound=0.0,
-            measured_error=0.0, measured_error_exact=True,
-            approx_mode="identity", approx_grid=w.n,
-            robinson_validated=True, timings=timings,
-            warning=_ignored_grid_warning(w, g))
-        return approx, report
-
-    warning = None
-    if lam == 0.0:
-        # estimator blind spot: the heuristic can miss a violation, and exact
-        # enumeration at r = 1 cannot see one inside a single cell (a dipped
-        # diagonal cell, say).  A width of 0 would emit the non-Robinson
-        # input itself, so use the smallest positive width.
-        case = "fallback-min-alpha"
-        warning = ("deviation estimate is zero but the matrix is not "
-                   "Robinson; falling back to the smallest positive width")
-        alpha = 1.0 / wn.n
-        threshold = None
-        lam_m = None
-    else:
-        t0 = time.perf_counter()
-        threshold = 2.0 * lam ** (-1.0 / (p - 1.0))
-        clip = cutoff(wn, threshold)
-        # a cutoff that clipped nothing hands back the same kernel: no new search
-        cert_m = estimate_deviation(clip.graphon, refinement, restarts, seed, known=(wn, cert))
-        lam_m = cert_m.value
-        timings["cutoff"] = time.perf_counter() - t0
-
-        if lam_m > 0.0:
-            case = "case1"
-            alpha = lp_norm(clip.graphon, np.inf) ** (-0.4) * lam_m ** 0.4
-        else:
-            case = "case2"
-            alpha = threshold ** (-0.4) * lam ** 0.4
-        if alpha >= 1.0:
-            alpha = 1.0 - 1e-9
-            warning = "window width clamped below 1"
-
-    t0 = time.perf_counter()
-    ra = robinson_approx(wn, alpha, grid_n=grid_n, mode=approx_mode)
-    approx = _rescale_approx(ra, scale)
-    timings["approx"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    err, err_exact = measured_cut_error(w, approx, cutnorm_cap, cutnorm_restarts, seed)
-    timings["measureError"] = time.perf_counter() - t0
-
-    report = RecoveryReport(
-        case_taken=case, p=p, alpha=float(alpha), normalization_scale=scale,
-        cutoff_threshold=threshold, deviation_input=lam,
-        deviation_cutoff=lam_m, deviation_mode=cert.mode,
-        theory_bound=theoretical_bound(p, lam),
-        measured_error=err, measured_error_exact=err_exact,
-        approx_mode=ra.mode, approx_grid=ra.grid_n,
-        robinson_validated=ra.robinson_validated,
-        timings=timings, warning=warning)
-    return approx, report
+    return _pipeline(w, p, _grid_size(w, grid_n), refinement, restarts, seed,
+                     approx_mode, cutnorm_cap, cutnorm_restarts)
 
 
 def recover_bounded(w: StepGraphon, refinement: int = 2, restarts: int = 50,
@@ -309,62 +295,5 @@ def recover_bounded(w: StepGraphon, refinement: int = 2, restarts: int = 50,
     it returns the n x n input, and the warning says when that ignores
     ``grid_n``.  Returns ``(RobinsonApprox, RecoveryReport)``.
     """
-    g = _grid_size(w, grid_n)
-    sup = lp_norm(w, np.inf)
-    unit = w.values.min() >= -1e-12 and w.values.max() <= 1.0 + 1e-12
-
-    timings = {}
-    t0 = time.perf_counter()
-    cert = estimate_deviation(w, refinement, restarts, seed)
-    lam = cert.value
-    timings["deviation"] = time.perf_counter() - t0
-
-    warning = None
-    if lam == 0.0:
-        if is_robinson(w, 1e-12).robinson:
-            approx = _identity_approx(w)
-            report = RecoveryReport(
-                case_taken="alpha-zero", p=math.inf, alpha=0.0,
-                normalization_scale=1.0, cutoff_threshold=None,
-                deviation_input=0.0, deviation_cutoff=None,
-                deviation_mode=cert.mode, theory_bound=0.0,
-                measured_error=0.0, measured_error_exact=True,
-                approx_mode="identity", approx_grid=w.n,
-                robinson_validated=True, timings=timings,
-                warning=_ignored_grid_warning(w, g))
-            return approx, report
-        # zero estimate on a non-Robinson matrix: width 0 would be invalid
-        case = "fallback-min-alpha"
-        alpha = 1.0 / w.n
-        warning = ("deviation estimate is zero but the matrix is not "
-                   "Robinson; falling back to the smallest positive width")
-        bound = 0.0
-    elif unit:
-        case = "bounded-corollary"
-        alpha = sup ** (-1.0 / 3.0) * lam ** 0.4
-        bound = theoretical_bound(math.inf, lam)
-    else:
-        case = "bounded-corollary"
-        alpha = sup ** (-0.4) * lam ** 0.4
-        bound = theoretical_bound(math.inf, lam, inf_norm=sup)
-    if alpha >= 1.0:
-        alpha = 1.0 - 1e-9
-        warning = "window width clamped below 1"
-
-    t0 = time.perf_counter()
-    ra = robinson_approx(w, alpha, grid_n=grid_n, mode=approx_mode)
-    timings["approx"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    err, err_exact = measured_cut_error(w, ra, cutnorm_cap, cutnorm_restarts, seed)
-    timings["measureError"] = time.perf_counter() - t0
-
-    report = RecoveryReport(
-        case_taken=case, p=math.inf, alpha=float(alpha),
-        normalization_scale=1.0, cutoff_threshold=None,
-        deviation_input=lam, deviation_cutoff=None, deviation_mode=cert.mode,
-        theory_bound=bound, measured_error=err, measured_error_exact=err_exact,
-        approx_mode=ra.mode, approx_grid=ra.grid_n,
-        robinson_validated=ra.robinson_validated,
-        timings=timings, warning=warning)
-    return ra, report
+    return _pipeline(w, math.inf, _grid_size(w, grid_n), refinement, restarts, seed,
+                     approx_mode, cutnorm_cap, cutnorm_restarts)

@@ -12,7 +12,6 @@ from robinson_lab import (
     cut_norm_exact,
     is_robinson,
     lp_norm,
-    lr_inf,
     monotone_envelope,
     quadratic_sum,
     robinson_approx,
@@ -27,6 +26,7 @@ from robinson_lab.approx import (
     _signed_caps,
     _ul_heuristic_many,
 )
+from window_oracle import lr_inf
 
 AGREE_TOL = 1e-9
 LOWER_TOL = 1e-12
@@ -411,6 +411,10 @@ def test_robinson_approx_alpha_zero_paths():
     w = toeplitz_decay(6, seed=3)
     r = robinson_approx(w, 0.0)
     assert r.mode == "identity" and np.array_equal(r.values, w.values)
+    assert not r.values.flags.writeable and not np.shares_memory(r.values, w.values)
+    assert robinson_approx(w, 0.0, grid_n=6).grid_n == 6
+    with pytest.raises(ValueError, match="grid_n must be 6, not 4"):
+        robinson_approx(w, 0.0, grid_n=4)
     bad = StepGraphon([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         robinson_approx(bad, 0.0)

@@ -1,5 +1,7 @@
 """Recovery pipeline: routing, constants, bounds, and report bookkeeping."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -360,6 +362,68 @@ def test_recover_bounded_identity_and_fallback(monkeypatch):
     assert rep.case_taken == "fallback-min-alpha"
     assert rep.alpha == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert rep.warning is not None
+
+
+# ---------------------------------------------------------------------------
+# golden pins: both routes, every case, byte for byte
+
+def _dipped_diagonal():
+    v = np.array(toeplitz_decay(10, seed=4).values)
+    v[4, 4] -= 0.5
+    return StepGraphon(v)
+
+
+def _case1_kernel():
+    return plant_violation(toeplitz_decay(8, seed=2), 0.3, seed=2)[0]
+
+
+def _unit_kernel():
+    return plant_violation(0.6 * toeplitz_decay(8, seed=5), 0.2, seed=5)[0]
+
+
+def _pin(approx, rep):
+    """sha256 of the approximation bytes, the report without timing values
+    and the sorted timing keys."""
+    fields = {k: v for k, v in rep.to_dict().items() if k != "timings"}
+    h = hashlib.sha256(approx.values.tobytes())
+    h.update(json.dumps(fields, sort_keys=True).encode())
+    h.update(json.dumps(sorted(rep.timings)).encode())
+    return h.hexdigest()
+
+
+GOLDEN_PINS = (
+    ("recover-alpha-zero", lambda: recover(toeplitz_decay(6, seed=3), p=6.0),
+     "931ea170d1a557c75ff0e825c8a10918be4bb2c931a647572a987608bee6af10"),
+    ("recover-alpha-zero-grid4", lambda: recover(toeplitz_decay(6, seed=3), p=6.0, grid_n=4),
+     "7cc0b9409caf254a4d2b1885a5cd5ed309dcc3973d23365fd241363ba7eccba8"),
+    ("bounded-alpha-zero", lambda: recover_bounded(toeplitz_decay(6, seed=3)),
+     "76e4382fdff1717427fa226f0f9e6a158dee0ca8e01f1ef95f268dffd31787b4"),
+    ("bounded-alpha-zero-grid4", lambda: recover_bounded(toeplitz_decay(6, seed=3), grid_n=4),
+     "db8266ee1815693525ef412fdf44c1ff3653496ef7c68259a30fb50e34bc67c5"),
+    ("recover-fallback", lambda: recover(_dipped_diagonal(), p=6.0),
+     "5297264b17a75c41cf3c0252848fd10d6d2e7974029751a613ff1179fabe8553"),
+    ("bounded-fallback", lambda: recover_bounded(_dipped_diagonal()),
+     "3fc0cb2bb16fc93cc317f9adf1cc0176ddc573e7f7ed9b18dec97f267ca2aaa6"),
+    ("recover-case1", lambda: recover(_case1_kernel(), p=6.0),
+     "2e745a338682025e3f3995c2926f282a1cc086bbbc5b8b867e2203f7c2b6fb01"),
+    ("recover-case1-grid12", lambda: recover(_case1_kernel(), p=6.0, grid_n=12),
+     "f90cab4a471ff7b5beb5ce26e59d5e7c34d0ef7c3163085bdc341ab40855e731"),
+    ("bounded-unit", lambda: recover_bounded(_unit_kernel()),
+     "e6d9fdfec1453c552081b4ef72a502226d141366183e50f42cd6c250b70d03c4"),
+    ("bounded-sup-above-one", lambda: recover_bounded(2.0 * _unit_kernel()),
+     "551151d9c50412c31a052e19c117bcd1cf1bd9fcb0cdd3fd07cb4d966d776340"),
+    ("bounded-negative-entries",
+     lambda: recover_bounded(StepGraphon(_unit_kernel().values - 0.3), grid_n=12),
+     "44069484acbcbbdc93015d3590c8a8e1cf700b98ccd81b0cbd6fc09ea3c267f0"),
+)
+
+
+@pytest.mark.parametrize("run, want", [pytest.param(run, want, id=name)
+                                       for name, run, want in GOLDEN_PINS])
+def test_golden_pins(run, want):
+    approx, rep = run()
+    assert _pin(approx, rep) == want
+    assert not approx.values.flags.writeable
 
 
 def test_recover_is_deterministic():

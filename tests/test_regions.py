@@ -13,12 +13,12 @@ from robinson_lab import (
     cell_crosses,
     compute_regions,
     largest_grey_square,
-    lr_inf,
     quadratic_sum,
     toeplitz_decay,
     ul_sup,
     verify_partition,
 )
+from window_oracle import lr_inf
 
 LABEL_HASH_Q16 = "14035e4028fe03931dbda34acb00fd1257d58b1aeeaab6ee0f65605f85d17a3c"
 

@@ -220,6 +220,8 @@ def test_cli_grid_n_must_be_a_positive_integer(tmp_path, capsys, bad):
     code, rep = run_json(["approx", "--alpha", "0.25", "--in", str(path),
                           "--config", '{"gridN": 4.0}'], capsys)
     assert code == 0 and rep["gridN"] == 4
+    assert cli.main(["approx", "--alpha", "0", "--in", str(path), "--grid", "4"]) == 1
+    assert "grid_n must be 8, not 4" in capsys.readouterr().err
 
 
 def test_cli_recover_json_and_csv(tmp_path, capsys):
