@@ -2,10 +2,11 @@
 
 A step graphon is a symmetric piecewise-constant kernel on [0,1]^2.  This
 package measures its deviation from the Robinson ("values decay away from the
-diagonal") shape, recovers a certified Robinson approximation in cut norm, and
-ships the supporting machinery: exact and local-search cut norms, window
-supremum statistics, band/grey region diagnostics, interval splitting and
-pigeonhole shrinking, synthetic generators, and a CLI.
+diagonal") shape, recovers a Robinson approximation with a theoretical
+cut-norm error bound, and ships the supporting machinery: exact and
+local-search cut norms, window supremum statistics, band/grey region
+diagnostics, interval splitting and pigeonhole shrinking, synthetic
+generators, and a CLI.
 """
 
 from .core import (

@@ -62,6 +62,9 @@ def _load_config(blob):
         raise _Error("unknown config keys: %s (allowed: %s)"
                      % (", ".join(unknown), ", ".join(CONFIG_KEYS)))
     cfg.update(data)
+    for key in ("refinement", "restarts", "seed", "cutnormCap"):
+        if type(cfg[key]) is not int and not (type(cfg[key]) is float and cfg[key].is_integer()):
+            raise _Error("config %s must be an integer" % key)
     if cfg["p"] == "inf":
         cfg["p"] = math.inf
     return cfg
@@ -411,7 +414,7 @@ def _build_parser():
     sp.add_argument("--out-matrix", metavar="PATH", help="write the approximation matrix")
     sp.set_defaults(fn=_cmd_approx)
 
-    sp = sub.add_parser("recover", help="full recovery pipeline with certified bound")
+    sp = sub.add_parser("recover", help="full recovery pipeline with theoretical error bound")
     common(sp)
     sp.add_argument("--p", type=float, default=None,
                     help="norm index, finite > 5 (default: config p)")

@@ -252,18 +252,13 @@ def is_robinson(w: StepGraphon, tol: float = 0.0) -> RobinsonCheck:
     if tol < 0:
         raise ValueError("tol must be >= 0")
 
-    ok = True
-    iu = np.triu_indices(n)
     # running minima over the upper triangle: rows left-to-right, columns
     # bottom-to-top (j from k down to i).  Work on a masked copy so the lower
-    # triangle never participates.
-    big = np.inf
-    upper = np.where(np.triu(np.ones((n, n), dtype=bool)), v, big)
+    # triangle never participates: it is +inf, and so are its running minima.
+    upper = np.where(np.triu(np.ones((n, n), dtype=bool)), v, np.inf)
     row_runmin = np.minimum.accumulate(upper, axis=1)
     col_runmin = np.minimum.accumulate(upper[::-1, :], axis=0)[::-1, :]
-    if np.any(upper[iu] > row_runmin[iu] + tol) or np.any(upper[iu] > col_runmin[iu] + tol):
-        ok = False
-    if ok:
+    if not (np.any(upper > row_runmin + tol) or np.any(upper > col_runmin + tol)):
         return RobinsonCheck(True, None)
 
     # witness: first (i, j, k) in lexicographic order with

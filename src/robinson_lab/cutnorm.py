@@ -59,34 +59,24 @@ def cut_norm_exact(w: StepGraphon, cap: int = EXACT_HARD_CAP) -> CutNormResult:
     total = 1 << n
     chunk = 1 << min(_CHUNK_BITS, n)
 
-    def scan(lo):
+    # one scan: fsum-refine every row within the slack of the best raw value so
+    # far, a superset of the rows near the final best (the rest lie more than
+    # the slack below it and cannot win); ties go to the smallest S, then T mask
+    best = None   # ((-value, s_mask, t_mask), s_idx, t_idx)
+    best_raw = -math.inf
+    for lo in range(0, total, chunk):
         masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         c = _mask_bits(masks, n) @ v
         pos = np.where(c > 0, c, 0.0).sum(axis=1)
         neg = np.where(c < 0, -c, 0.0).sum(axis=1)
-        return masks, c, pos, neg, np.maximum(pos, neg)
-
-    # pass 1: per-chunk maxima of the raw (unnormalised) objective; the last
-    # chunk's arrays are kept, so a single chunk (n <= 16) is scanned once
-    chunk_best = []
-    for lo in range(0, total, chunk):
-        last = scan(lo)
-        chunk_best.append(float(last[4].max()))
-    best_raw = max(chunk_best)
-
-    # pass 2: fsum-refine every near-optimal candidate; ties go to the
-    # smallest S mask, then the smallest T mask (bit i = cell i)
-    best = None   # ((-value, s_mask, t_mask), s_idx, t_idx)
-    slack = 1e-9 * max(1.0, abs(best_raw))
-    for ci, lo in enumerate(range(0, total, chunk)):
-        if chunk_best[ci] < best_raw - slack:
-            continue
-        masks, c, pos, neg, top = last if lo + chunk >= total else scan(lo)
-        for row in np.flatnonzero(top >= best_raw - slack):
+        top = np.maximum(pos, neg)
+        best_raw = max(best_raw, float(top.max()))
+        floor = best_raw - 1e-9 * max(1.0, abs(best_raw))
+        for row in np.flatnonzero(top >= floor):
             mask = int(masks[row])
             s_idx = np.flatnonzero((mask >> np.arange(n)) & 1)
             for sign, branch in ((1.0, pos[row]), (-1.0, neg[row])):
-                if branch < best_raw - slack:
+                if branch < floor:
                     continue
                 t_idx = np.flatnonzero(sign * c[row] > 0)
                 val = abs(_box_value(v, s_idx, t_idx, n))
@@ -146,7 +136,7 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
 
 def cut_norm(w: StepGraphon, cap: int = DEFAULT_DISPATCH_CAP,
              restarts: int = 50, seed: int = 0) -> CutNormResult:
-    """Dispatcher: exact enumeration when n <= cap, local search otherwise."""
-    if w.n <= cap:
-        return cut_norm_exact(w, cap=min(cap, EXACT_HARD_CAP))
+    """Dispatcher: exact enumeration when n <= min(cap, 24), local search otherwise."""
+    if w.n <= min(cap, EXACT_HARD_CAP):
+        return cut_norm_exact(w)
     return cut_norm_local_search(w, restarts=restarts, seed=seed)

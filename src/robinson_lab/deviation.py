@@ -50,15 +50,11 @@ class DeviationCertificate:
 
 def _triple_value(v, a_set, b_set, c_set, q, right):
     """Exact (correctly rounded) value of one ordered-triple candidate."""
-    a = a_set.indices if isinstance(a_set, CellSet) else tuple(a_set)
-    b = b_set.indices if isinstance(b_set, CellSet) else tuple(b_set)
-    c = c_set.indices if isinstance(c_set, CellSet) else tuple(c_set)
-    if right:
-        # box(A,C) - box(A,B): differences along the second index
-        terms = [v[i, k] for i in a for k in c] + [-v[i, j] for i in a for j in b]
-    else:
-        terms = [v[i, k] for i in a for k in c] + [-v[j, k] for j in b for k in c]
-    return math.fsum(terms) / (q * q)
+    a, b, c = (np.asarray(x.indices if isinstance(x, CellSet) else x, dtype=np.intp)
+               for x in (a_set, b_set, c_set))
+    # right: box(A,C) - box(A,B), differences along the second index
+    near = v[np.ix_(a, b)] if right else v[np.ix_(b, c)]
+    return math.fsum(np.concatenate([v[np.ix_(a, c)].ravel(), -near.ravel()]).tolist()) / (q * q)
 
 
 def _term_max_exact(v, q):

@@ -1,4 +1,4 @@
-"""End-to-end recovery of a Robinson approximation with a certified error bound.
+"""End-to-end recovery of a Robinson approximation with a theoretical error bound.
 
 Both routes run one pipeline: normalize, estimate the ordered-shape
 deviation, pick the window width, approximate, measure the cut-norm error.
@@ -35,7 +35,7 @@ def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
 
     Exact enumeration runs at the largest refinement r <= ``refinement`` that
     keeps the refined grid within EXACT_DEVIATION_CAP cells (possibly r = 1,
-    coarser than requested but still certified); larger inputs fall back to
+    coarser than requested but still exact); larger inputs fall back to
     the sweep heuristic at the requested refinement.
 
     ``known`` is an optional ``(kernel, certificate)`` pair returned for the
@@ -53,7 +53,8 @@ def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
 
 
 def theoretical_bound(p, lam: float, inf_norm: Optional[float] = None) -> float:
-    """Certified cut-norm error bound as a function of the deviation estimate.
+    """Theoretical cut-norm error bound as a function of the deviation; at an
+    estimate that undershoots the true deviation it is no certificate.
 
     Finite p > 5: 78 * lam^((p-5)/(5p-5)).  p = inf: 44 * lam^(1/5) when the
     values stay within [0, 1] (inf_norm omitted or <= 1), otherwise the
@@ -165,7 +166,7 @@ def measured_cut_error(w: StepGraphon, approx: RobinsonApprox,
 
 
 def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
-              seed: int, approx_mode: str, cutnorm_cap: int, cutnorm_restarts: int):
+              seed: int, cutnorm_cap: int):
     """The recovery recipe both routes share: normalize (finite p only),
     estimate, identity or fallback, width, approximate, measure.  Only the
     width is route-specific.  ``g`` is the validated grid size."""
@@ -224,7 +225,7 @@ def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
         err, err_exact = 0.0, True
     else:
         t0 = time.perf_counter()
-        approx = robinson_approx(wn, alpha, grid_n=g, mode=approx_mode)
+        approx = robinson_approx(wn, alpha, grid_n=g)
         if scale != 1.0:
             vals = scale * approx.values
             vals.flags.writeable = False
@@ -232,7 +233,7 @@ def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
         timings["approx"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        err, err_exact = measured_cut_error(w, approx, cutnorm_cap, cutnorm_restarts, seed)
+        err, err_exact = measured_cut_error(w, approx, cutnorm_cap, seed=seed)
         timings["measureError"] = time.perf_counter() - t0
 
     report = RecoveryReport(
@@ -249,8 +250,7 @@ def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
 
 def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
             restarts: int = 50, seed: int = 0, grid_n: Optional[int] = None,
-            approx_mode: str = "auto", cutnorm_cap: int = DEFAULT_DISPATCH_CAP,
-            cutnorm_restarts: int = 50):
+            cutnorm_cap: int = DEFAULT_DISPATCH_CAP):
     """Normalize in L^p, estimate the deviation, clip, approximate.
 
     Returns ``(RobinsonApprox, RecoveryReport)`` with the approximation in
@@ -273,15 +273,12 @@ def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
         raise ValueError("norm index p must exceed 5")
     if w.values.min() < 0:
         raise ValueError("kernel must be nonnegative")
-    return _pipeline(w, p, _grid_size(w, grid_n), refinement, restarts, seed,
-                     approx_mode, cutnorm_cap, cutnorm_restarts)
+    return _pipeline(w, p, _grid_size(w, grid_n), refinement, restarts, seed, cutnorm_cap)
 
 
 def recover_bounded(w: StepGraphon, refinement: int = 2, restarts: int = 50,
                     seed: int = 0, grid_n: Optional[int] = None,
-                    approx_mode: str = "auto",
-                    cutnorm_cap: int = DEFAULT_DISPATCH_CAP,
-                    cutnorm_restarts: int = 50):
+                    cutnorm_cap: int = DEFAULT_DISPATCH_CAP):
     """Bounded-kernel recovery: width straight from the deviation estimate.
 
     Values within [0, 1]: alpha = ||w||_inf^(-1/3) lam^(2/5), bound
@@ -295,5 +292,4 @@ def recover_bounded(w: StepGraphon, refinement: int = 2, restarts: int = 50,
     it returns the n x n input, and the warning says when that ignores
     ``grid_n``.  Returns ``(RobinsonApprox, RecoveryReport)``.
     """
-    return _pipeline(w, math.inf, _grid_size(w, grid_n), refinement, restarts, seed,
-                     approx_mode, cutnorm_cap, cutnorm_restarts)
+    return _pipeline(w, math.inf, _grid_size(w, grid_n), refinement, restarts, seed, cutnorm_cap)

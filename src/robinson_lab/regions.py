@@ -38,9 +38,7 @@ class RegionMap:
         return self.m * self.level_max
 
     def _triangle(self):
-        r = self.raster
-        ix, iy = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
-        return ix <= iy
+        return np.triu(np.ones((self.raster, self.raster), dtype=bool))
 
     def high_mask(self, k: int) -> np.ndarray:
         """Pixels of the high zone at threshold k/m (diagonal always in)."""
@@ -76,18 +74,12 @@ class RegionMap:
 
     def label_array(self) -> np.ndarray:
         """-1 outside the triangle; band level k >= 0 for uniquely-labelled
-        pixels; -(2 + first grey level) for grey pixels."""
-        r = self.raster
-        lab = np.full((r, r), -1, dtype=np.int64)
-        tri = self._triangle()
-        labelled = np.zeros_like(tri)
-        for k in range(self.total_levels):
-            band = self.band_mask(k)   # bands are pairwise disjoint
-            lab[band] = k
-            labelled |= band
-        grey = tri & ~labelled
-        lab[grey] = -(2 + self.k_high[grey] + 1)
-        return lab
+        pixels; -(2 + first grey level) for grey pixels.  Band k needs
+        k_low - 1 <= k <= min(k_high, total - 1), and k_low > k_high below
+        the top level, so at most one k qualifies."""
+        top = np.minimum(self.k_high, self.total_levels - 1)
+        lab = np.where(top >= self.k_low - 1, top, -(3 + self.k_high))
+        return np.where(self._triangle(), lab, -1)
 
 
 def _anchored_window_matrix(box: BoxIntegrator, alpha, raster):
@@ -152,23 +144,16 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
 
     # ---- lower-right minima ------------------------------------------------
     # dmin[ia, ib] = min over anchors a' >= a, b' <= b with a' <= b'
-    valid = np.tril(np.ones((r + 1, r + 1), dtype=bool)).T   # a <= b
-    wmask = np.where(valid, wmat, np.inf)
-    wmask[~np.isfinite(wmat)] = np.inf
-    dmin = np.full((r + 2, r + 1), np.inf)
-    for ia in range(r, -1, -1):
-        row = np.minimum(wmask[ia], dmin[ia + 1])
-        dmin[ia] = np.minimum.accumulate(row)
-    dmin = dmin[:r + 1]
+    wmask = np.where(np.triu(np.isfinite(wmat)), wmat, np.inf)   # a <= b
+    dmin = np.minimum.accumulate(wmask[::-1], axis=0)[::-1]
+    dmin = np.minimum.accumulate(dmin, axis=1)
     # pixel constraint: a >= x + alpha, b <= y - alpha
     ia_min = np.ceil((centers + alpha) * r - 1e-9).astype(np.intp)
     ib_max = np.floor((centers - alpha) * r + 1e-9).astype(np.intp)
     ok = (ia_min >= 0) & (ia_min <= r)
     okb = (ib_max >= 0) & (ib_max <= r)
-    v_low = np.full((r, r), np.inf)
-    sel = ok[:, None] & okb[None, :]
-    v_low[sel] = dmin[np.clip(ia_min, 0, r)[:, None].repeat(r, 1)[sel],
-                      np.clip(ib_max, 0, r)[None, :].repeat(r, 0)[sel]]
+    v_low = np.where(ok[:, None] & okb[None, :],
+                     dmin[np.ix_(np.clip(ia_min, 0, r), np.clip(ib_max, 0, r))], np.inf)
     # per-pixel corner windows [x, x+alpha] x [y-alpha, y]
     feas2 = (ys - xs) >= 2 * alpha - GUARD
     corner2 = np.full((r, r), np.inf)
@@ -279,17 +264,13 @@ def boundary_curve(rm: RegionMap, kind: str, k: int) -> BoundaryCurve:
     ("low": smallest z, bottom pixel edge; 1 where the column misses it)."""
     r = rm.raster
     xs = (np.arange(r) + 0.5) / r
-    zs = np.empty(r)
     if kind == "high":
         mask = rm.high_mask(k)
-        for ix in range(r):
-            hits = np.flatnonzero(mask[ix, :])
-            zs[ix] = (hits[-1] + 1) / r if hits.size else ix / r
+        zs = np.where(mask.any(axis=1), (r - np.argmax(mask[:, ::-1], axis=1)) / r,
+                      np.arange(r) / r)
     elif kind == "low":
         mask = rm.low_mask(k)
-        for ix in range(r):
-            hits = np.flatnonzero(mask[ix, :])
-            zs[ix] = hits[0] / r if hits.size else 1.0
+        zs = np.where(mask.any(axis=1), np.argmax(mask, axis=1) / r, 1.0)
     else:
         raise ValueError("kind must be high or low")
     return BoundaryCurve(kind=kind, level=k, xs=xs, zs=np.maximum.accumulate(zs))

@@ -6,12 +6,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from robinson_lab import (
+    CellSet,
     StepGraphon,
     cut_norm,
     cut_norm_exact,
     cut_norm_local_search,
     refine,
 )
+from robinson_lab import cutnorm as cutnorm_module
+from robinson_lab.cutnorm import CutNormResult
 
 WITNESS_TOL = 1e-12
 
@@ -150,3 +153,83 @@ def test_exact_pinned_at_one_and_two_chunks(n, flip, value, s_idx, t_idx):
     r = cut_norm_exact(StepGraphon(v[::-1, ::-1] if flip else v))
     assert r.value.hex() == value
     assert (r.witness_s.indices, r.witness_t.indices) == (s_idx, t_idx)
+
+
+def test_dispatcher_falls_back_above_the_hard_cap():
+    w = sym(np.random.Generator(np.random.Philox(26)), 26)
+    r = cut_norm(w, cap=30)
+    assert r.mode == "localsearch" and not r.exact
+    assert r.value == cut_norm_local_search(w).value
+
+
+def reference_cut_norm_exact(w):
+    """The two-pass enumeration: chunk maxima first, then a rescan of the
+    near-optimal chunks (the last chunk kept between passes)."""
+    n = w.n
+    v = w.values
+    total = 1 << n
+    chunk = 1 << min(cutnorm_module._CHUNK_BITS, n)
+
+    def scan(lo):
+        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        c = cutnorm_module._mask_bits(masks, n) @ v
+        pos = np.where(c > 0, c, 0.0).sum(axis=1)
+        neg = np.where(c < 0, -c, 0.0).sum(axis=1)
+        return masks, c, pos, neg, np.maximum(pos, neg)
+
+    chunk_best = []
+    for lo in range(0, total, chunk):
+        last = scan(lo)
+        chunk_best.append(float(last[4].max()))
+    best_raw = max(chunk_best)
+
+    best = None
+    slack = 1e-9 * max(1.0, abs(best_raw))
+    for ci, lo in enumerate(range(0, total, chunk)):
+        if chunk_best[ci] < best_raw - slack:
+            continue
+        masks, c, pos, neg, top = last if lo + chunk >= total else scan(lo)
+        for row in np.flatnonzero(top >= best_raw - slack):
+            mask = int(masks[row])
+            s_idx = np.flatnonzero((mask >> np.arange(n)) & 1)
+            for sign, branch in ((1.0, pos[row]), (-1.0, neg[row])):
+                if branch < best_raw - slack:
+                    continue
+                t_idx = np.flatnonzero(sign * c[row] > 0)
+                val = abs(cutnorm_module._box_value(v, s_idx, t_idx, n))
+                t_mask = int(sum(1 << int(j) for j in t_idx))
+                key = (-val, mask, t_mask)
+                if best is None or key < best[0]:
+                    best = (key, s_idx, t_idx)
+    (neg_val, _, _), s_idx, t_idx = best
+    return CutNormResult(value=-neg_val,
+                         witness_s=CellSet(n, tuple(int(i) for i in s_idx)),
+                         witness_t=CellSet(n, tuple(int(i) for i in t_idx)),
+                         mode="exact", exact=True)
+
+
+def tie_heavy(rng, n):
+    """Three-valued, constant and Toeplitz kernels: many subsets tie."""
+    m = np.triu(rng.integers(-1, 2, (n, n)).astype(float))
+    i = np.arange(n)
+    return [m + np.triu(m, 1).T, np.full((n, n), 0.7),
+            np.maximum(0.0, 1.0 - abs(i[:, None] - i[None, :]) / 3.0) - 0.3]
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_one_scan_matches_two_pass_reference_on_several_chunks(n):
+    rng = np.random.Generator(np.random.Philox(100 + n))
+    v = sym(rng, n).values
+    for m in [v, v[::-1, ::-1]] + (tie_heavy(rng, n) if n <= 18 else []):
+        w = StepGraphon(m)
+        assert repr(cut_norm_exact(w)) == repr(reference_cut_norm_exact(w))
+
+
+def test_one_scan_matches_two_pass_reference_with_small_chunks(monkeypatch):
+    monkeypatch.setattr(cutnorm_module, "_CHUNK_BITS", 3)
+    rng = np.random.Generator(np.random.Philox(77))
+    for n in range(1, 13):
+        v = sym(rng, n).values
+        for m in [v, v[::-1, ::-1]] + tie_heavy(rng, n):
+            w = StepGraphon(m)
+            assert repr(cut_norm_exact(w)) == repr(reference_cut_norm_exact(w))

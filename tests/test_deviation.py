@@ -5,11 +5,13 @@ shares no code with the stratified solver it checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from robinson_lab import (
+    CellSet,
     StepGraphon,
     cut_norm_exact,
     deviation_exact,
@@ -383,3 +385,33 @@ def test_heuristic_search_matches_the_reference():
             ref_value, ref_trip = reference_term_max(u, q, restarts, rng_ref)
             assert (value, trip) == (ref_value, ref_trip)
             assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)
+
+
+def reference_triple_value(v, a_set, b_set, c_set, q, right):
+    """The list-comprehension form of _triple_value."""
+    a = a_set.indices if isinstance(a_set, CellSet) else tuple(a_set)
+    b = b_set.indices if isinstance(b_set, CellSet) else tuple(b_set)
+    c = c_set.indices if isinstance(c_set, CellSet) else tuple(c_set)
+    if right:
+        terms = [v[i, k] for i in a for k in c] + [-v[i, j] for i in a for j in b]
+    else:
+        terms = [v[i, k] for i in a for k in c] + [-v[j, k] for j in b for k in c]
+    return math.fsum(terms) / (q * q)
+
+
+def test_triple_value_matches_the_list_reference():
+    rng = np.random.Generator(np.random.Philox(707))
+    for trial in range(60):
+        q = int(rng.integers(3, 20))
+        m = rng.uniform(-1.0, 1.0, (q, q)) * 10.0 ** float(rng.integers(-3, 4))
+        if trial % 2:
+            m = rng.integers(0, 3, (q, q)).astype(float)     # many ties and zeros
+        v = StepGraphon(0.5 * (m + m.T)).values
+        k = int(rng.integers(1, q // 3 + 1))
+        a, b, c = np.split(np.sort(rng.choice(q, size=3 * k, replace=False)), 3)
+        sets = [tuple(int(i) for i in s) for s in (a, b, c)]
+        if trial % 3 == 0:
+            sets = [CellSet(q, s) for s in sets]
+        for right in (False, True):
+            assert repr(_triple_value(v, *sets, q=q, right=right)) == \
+                repr(reference_triple_value(v, *sets, q=q, right=right))

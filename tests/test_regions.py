@@ -18,6 +18,8 @@ from robinson_lab import (
     ul_sup,
     verify_partition,
 )
+from robinson_lab.approx import GUARD, BoxIntegrator
+from robinson_lab.regions import _anchored_window_matrix
 from window_oracle import lr_inf
 
 LABEL_HASH_Q16 = "14035e4028fe03931dbda34acb00fd1257d58b1aeeaab6ee0f65605f85d17a3c"
@@ -225,3 +227,90 @@ def test_region_map_is_deterministic():
     assert np.array_equal(a.label_array(), b.label_array())
     assert np.array_equal(a.value_high, b.value_high)
     assert np.array_equal(a.value_low, b.value_low)
+
+
+# ---------------------------------------------------------------------------
+# loop references for the array code
+
+def reference_labels(rm):
+    """The per-level label loop."""
+    r = rm.raster
+    lab = np.full((r, r), -1, dtype=np.int64)
+    tri = rm._triangle()
+    labelled = np.zeros_like(tri)
+    for k in range(rm.total_levels):
+        band = rm.band_mask(k)
+        lab[band] = k
+        labelled |= band
+    grey = tri & ~labelled
+    lab[grey] = -(2 + rm.k_high[grey] + 1)
+    return lab
+
+
+def reference_curve(rm, kind, k):
+    """The per-column boundary loops."""
+    r = rm.raster
+    zs = np.empty(r)
+    if kind == "high":
+        mask = rm.high_mask(k)
+        for ix in range(r):
+            hits = np.flatnonzero(mask[ix, :])
+            zs[ix] = (hits[-1] + 1) / r if hits.size else ix / r
+    else:
+        mask = rm.low_mask(k)
+        for ix in range(r):
+            hits = np.flatnonzero(mask[ix, :])
+            zs[ix] = hits[0] / r if hits.size else 1.0
+    return np.maximum.accumulate(zs)
+
+
+def reference_value_low(w, alpha, r):
+    """Lower-right minima with the row-by-row dmin loop."""
+    box = BoxIntegrator(w)
+    centers = (np.arange(r) + 0.5) / r
+    xs, ys = np.meshgrid(centers, centers, indexing="ij")
+    wmat = _anchored_window_matrix(box, alpha, r)
+    valid = np.tril(np.ones((r + 1, r + 1), dtype=bool)).T
+    wmask = np.where(valid, wmat, np.inf)
+    wmask[~np.isfinite(wmat)] = np.inf
+    dmin = np.full((r + 2, r + 1), np.inf)
+    for ia in range(r, -1, -1):
+        row = np.minimum(wmask[ia], dmin[ia + 1])
+        dmin[ia] = np.minimum.accumulate(row)
+    dmin = dmin[:r + 1]
+    ia_min = np.ceil((centers + alpha) * r - 1e-9).astype(np.intp)
+    ib_max = np.floor((centers - alpha) * r + 1e-9).astype(np.intp)
+    ok = (ia_min >= 0) & (ia_min <= r)
+    okb = (ib_max >= 0) & (ib_max <= r)
+    v_low = np.full((r, r), np.inf)
+    sel = ok[:, None] & okb[None, :]
+    v_low[sel] = dmin[np.clip(ia_min, 0, r)[:, None].repeat(r, 1)[sel],
+                      np.clip(ib_max, 0, r)[None, :].repeat(r, 0)[sel]]
+    feas2 = (ys - xs) >= 2 * alpha - GUARD
+    corner2 = np.full((r, r), np.inf)
+    fx, fy = xs[feas2], ys[feas2]
+    corner2[feas2] = box.box(fx, fx + alpha, fy - alpha, fy) / (alpha * alpha)
+    v_low = np.minimum(v_low, corner2)
+    v_low = np.minimum.accumulate(v_low[::-1, :], axis=0)[::-1, :]
+    return np.minimum.accumulate(v_low, axis=1)
+
+
+def test_region_arrays_match_loop_references():
+    rng = np.random.Generator(np.random.Philox(311))
+    for trial in range(24):
+        n = int(rng.integers(1, 12))
+        w = random_nonneg(rng, n, hi=float(rng.uniform(0.5, 3.0)))
+        if trial % 3 == 1:
+            w = StepGraphon(np.zeros((n, n)))
+        elif trial % 3 == 2:
+            w = StepGraphon(np.round(2.0 * w.values) / 2.0)    # many ties
+        alpha = float(rng.uniform(0.02, 0.45))
+        raster = int(rng.integers(8, 101))
+        rm = compute_regions(w, m=int(rng.integers(1, 6)), alpha=alpha, raster=raster)
+        assert np.array_equal(rm.value_low, reference_value_low(w, alpha, raster))
+        lab = rm.label_array()
+        assert lab.dtype == np.int64 and np.array_equal(lab, reference_labels(rm))
+        for k in range(rm.total_levels + 1):
+            for kind in ("high", "low"):
+                zs = boundary_curve(rm, kind, k).zs
+                assert np.array_equal(zs, reference_curve(rm, kind, k))

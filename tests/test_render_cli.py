@@ -361,3 +361,25 @@ def test_console_script_smoke(tmp_path):
     assert synth_run.returncode == 0
     assert json.loads(synth_run.stdout)["command"] == "synth"
     assert load_graphon(mat).n == 5
+
+
+def test_cli_cutnorm_cap_above_the_hard_cap_falls_back(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    m = np.random.Generator(np.random.Philox(26)).uniform(-1.0, 1.0, (26, 26))
+    save_graphon(StepGraphon(0.5 * (m + m.T)), path)
+    code, rep = run_json(["cutnorm", "--in", str(path),
+                          "--config", '{"cutnormCap": 30}'], capsys)
+    assert code == 0 and rep["mode"] == "localsearch" and rep["exact"] is False
+
+
+@pytest.mark.parametrize("key", ["refinement", "restarts", "seed", "cutnormCap"])
+def test_cli_config_integers_are_not_truncated(tmp_path, capsys, key):
+    path = tmp_path / "w.txt"
+    save_graphon(StepGraphon(N3), path)
+    for bad in (2.5, "16", True, None, [3]):
+        blob = json.dumps({key: bad})
+        assert cli.main(["cutnorm", "--in", str(path), "--config", blob]) == 1
+        assert "config %s must be an integer" % key in capsys.readouterr().err
+    code, _ = run_json(["cutnorm", "--in", str(path), "--config",
+                        json.dumps({key: 3.0})], capsys)
+    assert code == 0
