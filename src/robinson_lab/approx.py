@@ -307,14 +307,9 @@ def ul_sup(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
     # enumerate the sparser side; the graphon is symmetric so swapping sides
     # just transposes the objective
     na, nb = int(np.count_nonzero(a > GUARD)), int(np.count_nonzero(b > GUARD))
-    if na <= nb:
-        s_mat = _extreme_side_vectors(a, alpha)
-        scores = s_mat @ v
-        resp = _knap_fill_batch(scores, np.broadcast_to(b, scores.shape), alpha)
-    else:
-        s_mat = _extreme_side_vectors(b, alpha)
-        scores = s_mat @ v
-        resp = _knap_fill_batch(scores, np.broadcast_to(a, scores.shape), alpha)
+    enum, other = (a, b) if na <= nb else (b, a)
+    scores = _extreme_side_vectors(enum, alpha) @ v
+    resp = _knap_fill_batch(scores, np.broadcast_to(other, scores.shape), alpha)
     vals = np.einsum("ij,ij->i", scores, resp)
     return float(vals.max() / (alpha * alpha)) if len(vals) else 0.0
 

@@ -12,7 +12,6 @@ to delta/|P| times the total, and delta/|P| <= 1/N.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -130,7 +129,7 @@ class _Compressed:
 
 
 def _first_window(comp: _Compressed, delta, bound, wrap):
-    """Earliest compressed start s with |window integral| <= bound.
+    """Latest compressed start s with |window integral| <= bound.
 
     Non-wrap windows are [s, s+delta] for s in [0, L-delta]; wrap windows are
     [s, L] + [0, s+delta-L] for s in [L-delta, L].  The window integral is
@@ -218,38 +217,19 @@ def split_with_small_remainder(u, p: IntervalSet, beta: float) -> SplitResult:
     if wrapped:
         remainder = IntervalSet(comp.to_real(start, comp.length).intervals
                                 + comp.to_real(0.0, start + delta - comp.length).intervals)
-        body = [(start + delta - comp.length, start)]
     else:
         remainder = comp.to_real(start, start + delta)
-        body = [(0.0, start), (start + delta, comp.length)]
 
-    # chop the remaining mass into consecutive measure-beta parts, walking the
-    # leftover compressed ranges in order
+    # chop what is left by arc length: part i is the range [i beta, (i+1) beta)
+    # of the leftover, read from the origin and stepping over the remainder
+    # window at start (the leftover of a wrapped window ends at start, so its
+    # second piece lies past the end and comes back empty)
+    origin = start + delta - comp.length if wrapped else 0.0
     parts = []
-    walk = []   # flattened consecutive compressed ranges
-    for lo, hi in body:
-        if hi - lo > _EPS:
-            walk.append((lo, hi))
-    acc = 0.0
-    cur = []
-    widx = 0
-    pos = walk[0][0] if walk else 0.0
-    for _ in range(n_parts - 1):
-        need = beta
-        pieces = []
-        while need > _EPS and widx < len(walk):
-            lo, hi = walk[widx]
-            take = min(need, hi - pos)
-            pieces.append((pos, pos + take))
-            need -= take
-            pos += take
-            if hi - pos <= _EPS:
-                widx += 1
-                pos = walk[widx][0] if widx < len(walk) else pos
-        part_pieces = []
-        for lo, hi in pieces:
-            part_pieces.extend(comp.to_real(lo, hi).intervals)
-        parts.append(IntervalSet(tuple(part_pieces)))
+    for i in range(n_parts - 1):
+        c0, c1 = origin + i * beta, origin + (i + 1) * beta
+        parts.append(IntervalSet(comp.to_real(c0, min(c1, start)).intervals
+                                 + comp.to_real(max(c0, start) + delta, c1 + delta).intervals))
     parts.append(remainder)
     return SplitResult(parts=tuple(parts), remainder=remainder,
                        remainder_integral=interval_set_integral(u, remainder),
@@ -259,92 +239,52 @@ def split_with_small_remainder(u, p: IntervalSet, beta: float) -> SplitResult:
 # ---------------------------------------------------------------------------
 # density-preserving shrink
 
-def _cond_value(b, i_in, j_in, l1, l2):
-    """Expected box sum when the chosen chunks are fixed and the remaining
-    slots are filled uniformly at random."""
-    k1, k2 = b.shape
-    ip = ~i_in
-    jp = ~j_in
-    a, bb = int(i_in.sum()), int(j_in.sum())
-    np_i, np_j = int(ip.sum()), int(jp.sum())
-    s_cc = b[np.ix_(i_in, j_in)].sum()
-    s_cp = b[np.ix_(i_in, jp)].sum()
-    s_pc = b[np.ix_(ip, j_in)].sum()
-    s_pp = b[np.ix_(ip, jp)].sum()
-
-    def frac(need, pool):
-        return (need / pool) if pool else 0.0
-
-    return (s_cc + frac(l2 - bb, np_j) * s_cp + frac(l1 - a, np_i) * s_pc
-            + frac(l1 - a, np_i) * frac(l2 - bb, np_j) * s_pp)
+def _top_cells(sums, count):
+    """Mask of the count largest sums; ties go to the lower index."""
+    mask = np.zeros(len(sums), dtype=bool)
+    mask[np.argsort(-sums, kind="stable")[:count]] = True
+    return mask
 
 
 def pigeonhole_shrink(f: StepGraphon, rows: CellSet, cols: CellSet, alpha: float):
     """Shrink the product rows x cols to an alpha-fraction on each side while
     not decreasing the average of f (assuming the starting integral is
-    positive).  Deterministic: a conditional-expectation greedy, with an
-    exhaustive fallback on small instances.  Returns (rowSubset, colSubset).
+    positive).  Returns (rowSubset, colSubset).
+
+    Pigeonhole: the l rows with the largest sums over cols average at least
+    the mean row, and so do the l columns with the largest sums over those
+    rows.  Further best responses (rows given the columns, then columns given
+    the rows) only raise the box sum; they repeat while it grows.
     """
     q = f.n
     if rows.resolution != q or cols.resolution != q:
         raise ValueError("cell sets must live at the graphon resolution")
-    k1, k2 = len(rows.indices), len(cols.indices)
-    if k1 == 0 or k2 == 0:
+    k = len(rows.indices)
+    if k == 0 or len(cols.indices) == 0:
         raise ValueError("empty cell set")
-    if k1 != k2:
+    if len(cols.indices) != k:
         raise ValueError("cell sets must have equal measure")
-    l1r, l2r = alpha * k1, alpha * k2
-    l1, l2 = int(round(l1r)), int(round(l2r))
-    if abs(l1 - l1r) > 1e-9 or abs(l2 - l2r) > 1e-9 or l1 < 1 or l2 < 1:
-        raise ValueError("alpha*|set| must be a positive whole number of cells")
+    l = int(round(alpha * k))
+    if abs(l - alpha * k) > 1e-9 or not 1 <= l <= k:
+        raise ValueError("alpha*|set| must be a whole number of cells in [1, |set|]")
 
     b = f.values[np.ix_(rows.as_array(), cols.as_array())] / (q * q)
     total = b.sum()
     if not total > 0:
         raise ValueError("nonpositive starting integral")
-    target_density = total / ((k1 / q) * (k2 / q))
+    target_density = total / ((k / q) * (k / q))
 
-    i_in = np.zeros(k1, dtype=bool)
-    j_in = np.zeros(k2, dtype=bool)
-    while i_in.sum() < l1 or j_in.sum() < l2:
-        best = None
-        if i_in.sum() < l1:
-            for r in np.flatnonzero(~i_in):
-                i_in[r] = True
-                val = _cond_value(b, i_in, j_in, l1, l2)
-                i_in[r] = False
-                if best is None or val > best[0] + 1e-15:
-                    best = (val, "row", int(r))
-        if j_in.sum() < l2:
-            for c in np.flatnonzero(~j_in):
-                j_in[c] = True
-                val = _cond_value(b, i_in, j_in, l1, l2)
-                j_in[c] = False
-                if best is None or val > best[0] + 1e-15:
-                    best = (val, "col", int(c))
-        if best[1] == "row":
-            i_in[best[2]] = True
-        else:
-            j_in[best[2]] = True
+    j_in = np.ones(k, dtype=bool)
+    box = -np.inf
+    while True:
+        i_in = _top_cells(b[:, j_in].sum(axis=1), l)
+        j_in = _top_cells(b[i_in].sum(axis=0), l)
+        grown = b[np.ix_(i_in, j_in)].sum()
+        if grown <= box + 1e-15:
+            break
+        box = grown
 
-    chosen = b[np.ix_(i_in, j_in)].sum()
-    density = chosen / ((l1 / q) * (l2 / q))
-    if density < target_density - 1e-12 and max(k1, k2) <= 16:
-        # exhaustive: for each row subset the best columns are the l2 largest
-        # column sums
-        best_val, best_pair = -np.inf, None
-        for comb in itertools.combinations(range(k1), l1):
-            colsum = b[list(comb), :].sum(axis=0)
-            order = np.argsort(-colsum, kind="stable")[:l2]
-            val = colsum[order].sum()
-            if val > best_val + 1e-15:
-                best_val, best_pair = val, (comb, tuple(sorted(int(c) for c in order)))
-        i_in = np.zeros(k1, dtype=bool)
-        j_in = np.zeros(k2, dtype=bool)
-        i_in[list(best_pair[0])] = True
-        j_in[list(best_pair[1])] = True
-
-    density = b[np.ix_(i_in, j_in)].sum() / ((l1 / q) * (l2 / q))
+    density = grown / ((l / q) * (l / q))
     if density < target_density - 1e-9:
         raise AssertionError("density guarantee missed: %g < %g"
                              % (density, target_density))

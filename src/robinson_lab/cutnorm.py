@@ -45,7 +45,7 @@ def _mask_bits(masks, n):
     return ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
 
 
-def cut_norm_exact(w: StepGraphon, cap: int = EXACT_HARD_CAP) -> CutNormResult:
+def cut_norm_exact(w: StepGraphon) -> CutNormResult:
     """Exact cut norm by enumerating all 2^n row subsets.
 
     For each subset S the best T is read off the signs of the column sums,
@@ -53,8 +53,8 @@ def cut_norm_exact(w: StepGraphon, cap: int = EXACT_HARD_CAP) -> CutNormResult:
     subset bitmask (bit i = cell i).  Feasible for n <= 24.
     """
     n = w.n
-    if n > min(cap, EXACT_HARD_CAP):
-        raise ValueError("n=%d exceeds exact enumeration cap %d" % (n, min(cap, EXACT_HARD_CAP)))
+    if n > EXACT_HARD_CAP:
+        raise ValueError("n=%d exceeds exact enumeration cap %d" % (n, EXACT_HARD_CAP))
     v = w.values
     total = 1 << n
     chunk = 1 << min(_CHUNK_BITS, n)

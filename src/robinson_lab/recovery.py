@@ -155,13 +155,12 @@ class RecoveryReport:
 
 
 def measured_cut_error(w: StepGraphon, approx: RobinsonApprox,
-                       cap: int = DEFAULT_DISPATCH_CAP, restarts: int = 50,
-                       seed: int = 0):
+                       cap: int = DEFAULT_DISPATCH_CAP, seed: int = 0):
     """Cut norm of (w - approx) on the common refinement.  Returns (value, exact)."""
     n, g = w.n, approx.grid_n
     common = math.lcm(n, g)
     diff = refine(w, common // n) - refine(StepGraphon(approx.values), common // g)
-    res = cut_norm(diff, cap=cap, restarts=restarts, seed=seed)
+    res = cut_norm(diff, cap=cap, seed=seed)
     return res.value, res.exact
 
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from robinson_lab import combinatorics
 from robinson_lab import (
     CellSet,
     IntervalSet,
@@ -135,6 +136,33 @@ def test_split_random_instances():
         done += 1
 
 
+def test_split_with_a_wrapped_remainder(monkeypatch):
+    # no test input reaches the wrapped window on its own, so refuse every
+    # non-wrapping window and check the split still meets its contract
+    first_window = combinatorics._first_window
+    wraps = []
+
+    def wrap_only(comp, delta, bound, wrap):
+        if not wrap:
+            return None
+        start = first_window(comp, delta, bound, wrap)
+        wraps.append(start)
+        return start
+
+    monkeypatch.setattr(combinatorics, "_first_window", wrap_only)
+    u = np.ones(1)
+    p = IntervalSet(((0.0, 1.0),))
+    res = split_with_small_remainder(u, p, 0.3)
+    assert len(wraps) == 1 and wraps[0] is not None
+    check_split(res, u, p, 0.3)
+    want = [(0.1, 0.4), (0.4, 0.7), (0.7, 1.0)]
+    for part, (lo, hi) in zip(res.parts, want):
+        assert len(part.intervals) == 1
+        assert part.intervals[0] == pytest.approx((lo, hi), abs=1e-9)
+    assert len(res.remainder.intervals) == 1
+    assert res.remainder.intervals[0] == pytest.approx((0.0, 0.1), abs=1e-9)
+
+
 def test_split_determinism():
     u = np.array([1.0, -0.5, 2.0])
     p = IntervalSet(((0.1, 0.9),))
@@ -186,6 +214,13 @@ def test_shrink_constant_density():
     t, tp = pigeonhole_shrink(f, s, s, 0.5)
     assert len(t.indices) == len(tp.indices) == 2
     assert density_of(f, t, tp) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shrink_ties_go_to_the_lower_cells():
+    f = StepGraphon(np.ones((6, 6)))
+    s = CellSet(6, tuple(range(6)))
+    t, tp = pigeonhole_shrink(f, s, s, 0.5)
+    assert t.indices == (0, 1, 2) and tp.indices == (0, 1, 2)
 
 
 def test_shrink_concentrates_on_the_hot_block():
@@ -250,6 +285,8 @@ def test_shrink_validation():
         pigeonhole_shrink(f, s4, s4, 0.3)                 # 0.3 * 4 cells isn't whole
     with pytest.raises(ValueError):
         pigeonhole_shrink(f, s4, s4, 0.05)                # rounds to zero cells
+    with pytest.raises(ValueError):
+        pigeonhole_shrink(f, s4, s4, 1.5)                 # more cells than the set has
     with pytest.raises(ValueError):
         pigeonhole_shrink(f, CellSet(5, (0, 1)), CellSet(5, (0, 1)), 0.5)
     neg = StepGraphon(-np.ones((4, 4)))

@@ -129,8 +129,6 @@ def test_exact_cap_enforced():
     with pytest.raises(ValueError):
         cut_norm_exact(w)
     with pytest.raises(ValueError):
-        cut_norm_exact(StepGraphon(np.zeros((17, 17))), cap=16)
-    with pytest.raises(ValueError):
         cut_norm_local_search(StepGraphon(np.zeros((3, 3))), restarts=0)
 
 
