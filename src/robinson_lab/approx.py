@@ -15,8 +15,10 @@ deterministic lower bound.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .core import StepGraphon, is_robinson
 
 GUARD = 1e-15                  # feasibility slack on measures
 EXTREME_POINT_BUDGET = 200_000  # exact-mode enumeration size limit
+BLOCK_CELLS = 1 << 16          # grid points x cells per block of the window search
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +191,61 @@ def _t_starts(v, alpha, b_caps):
     yield _knap_fill_batch(mid, b_caps, alpha, minimize=True)             # middle
 
 
+class _Block:
+    """A run of grid points searched together: the alternation of the
+    current start on the points still moving, and each point's best value
+    over the starts so far."""
+
+    def __init__(self, v, alpha, kk, a_caps, b_caps):
+        self.v, self.alpha, self.kk = v, alpha, kk
+        self.a_caps, self.b_caps = a_caps, b_caps
+        self.starts = _t_starts(v, alpha, b_caps)
+        self.best = self.prev = np.full(len(a_caps), -np.inf)
+
+    def restart(self):
+        """Records the best values of the start just run and takes the next
+        one; False when there is none left."""
+        self.best = np.maximum(self.best, self.prev)
+        self.t = next(self.starts, None)
+        self.t_new = None
+        self.prev = np.full(len(self.a_caps), -np.inf)
+        self.rows, self.a, self.b = np.arange(len(self.a_caps)), self.a_caps, self.b_caps
+        return self.t is not None
+
+    def round(self):
+        """Drops the rows whose T side came back unchanged from the last
+        round (a frozen row pads a lone mover), then runs one more round.
+        Returns whether every value stays within 1e-14 of its row's best,
+        or None when no row moved (the block has finished this start)."""
+        if self.t_new is not None:
+            moving = np.any(self.t_new != self.t, axis=1)
+            n_moving = np.count_nonzero(moving)
+            if n_moving == 0:
+                return None
+            if n_moving == 1 and moving.size > 1:
+                moving[np.argmin(moving)] = True      # pad with a frozen row
+            self.t = self.t_new
+            if not moving.all():
+                self.rows, self.a, self.b = self.rows[moving], self.a[moving], self.b[moving]
+                self.t = self.t[moving]
+        sv = _knap_fill_top(self.t @ self.v, self.a, self.alpha, self.kk) @ self.v
+        self.t_new = _knap_fill_top(sv, self.b, self.alpha, self.kk)
+        self.val = np.einsum("ij,ij->i", sv, self.t_new)
+        return bool(np.all(self.val <= self.prev[self.rows] + 1e-14))
+
+    def keep(self):
+        """Records the values of the last round."""
+        self.prev[self.rows] = np.maximum(self.prev[self.rows], self.val)
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _ul_heuristic_many(v, alpha, a_caps, b_caps, iters=40):
     """Vectorised alternating maximisation of the window average across many
     query points.  ``a_caps``/``b_caps`` are (P, n) signed availability
@@ -197,36 +255,57 @@ def _ul_heuristic_many(v, alpha, a_caps, b_caps, iters=40):
     Each start alternates only the rows still moving.  The S response is a
     function of t alone, so a row whose new t equals its old t is at a fixed
     point: its value repeats, already counted in ``prev``, and the row is
-    dropped.  Products of two or more rows give each row the same bits as the
-    full product, but a one-row product does not (numpy routes it to gemv),
-    so when P >= 2 a frozen row pads the active set to at least two rows.
-    A fill gives mass to at most floor(alpha n) + 2 cells (caps are at most
-    1/n), so the responses sort only floor(alpha n) + 3 cells per row.
+    dropped.  A one-row product does not give its row the bits that row gets
+    in a larger product (numpy routes it to gemv), so when P >= 2 a frozen
+    row pads the active set to at least two rows.  A fill gives mass to at
+    most floor(alpha n) + 2 cells (caps are at most 1/n), so the responses
+    sort only floor(alpha n) + 3 cells per row.
+
+    The points run in blocks of about ``BLOCK_CELLS`` cells (P n cells in
+    all, at least two points a block), each with its own active set, on one
+    thread per usable CPU.  Rows interact only through the stop test, which
+    all blocks take together once a round.  So the values equal those of
+    alternating every point until the last one stops whenever each row of a
+    product of two or more rows gets the bits it gets in any other such
+    product.  With OpenBLAS on AVX-512 that holds at every row count for
+    n <= 16 and for n a multiple of 8, but not for every n (see README).
     """
     p_cnt, n = a_caps.shape
     kk = int(alpha * n) + 3
-    best = np.full(p_cnt, -np.inf)
-    for t in _t_starts(v, alpha, b_caps):
-        prev = np.full(p_cnt, -np.inf)
-        rows, a, b = np.arange(p_cnt), a_caps, b_caps
-        for _ in range(iters):
-            sv = _knap_fill_top(t @ v, a, alpha, kk) @ v
-            t_new = _knap_fill_top(sv, b, alpha, kk)
-            val = np.einsum("ij,ij->i", sv, t_new)
-            if np.all(val <= prev[rows] + 1e-14):
-                break
-            prev[rows] = np.maximum(prev[rows], val)
-            moving = np.any(t_new != t, axis=1)
-            n_moving = np.count_nonzero(moving)
-            if n_moving == 0:
-                break
-            if n_moving == 1 and moving.size > 1:
-                moving[np.argmin(moving)] = True      # pad with a frozen row
-            t = t_new
-            if not moving.all():
-                rows, t, a, b = rows[moving], t[moving], a[moving], b[moving]
-        best = np.maximum(best, prev)
-    return best / (alpha * alpha)
+    n_blk = max(1, min(p_cnt // 2, p_cnt * n // BLOCK_CELLS))
+    edges = np.arange(n_blk + 1) * p_cnt // n_blk
+    blocks = [_Block(v, alpha, kk, a_caps[lo:hi], b_caps[lo:hi])
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    workers = min(_usable_cpus(), n_blk)
+    pool = contextlib.nullcontext()
+    if workers > 1:
+        # imported here: it brings in logging, a few ms at the start of every
+        # process, also of those that never search more than one block
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers - 1)
+    with pool:
+
+        def each(method, blks):
+            """``method`` of every block, in order; the caller's thread
+            takes every workers-th block, each pool thread a share."""
+            shares = [pool.submit(lambda k=k: [method(b) for b in blks[k::workers]])
+                      for k in range(1, workers)]
+            out = [None] * len(blks)
+            out[::workers] = [method(b) for b in blks[::workers]]
+            for k, share in enumerate(shares, 1):
+                out[k::workers] = share.result()
+            return out
+
+        while all(each(_Block.restart, blocks)):
+            live = blocks
+            for _ in range(iters):
+                flags = each(_Block.round, live)
+                live = [b for b, f in zip(live, flags) if f is not None]
+                if all(f for f in flags if f is not None):
+                    break
+                for b in live:
+                    b.keep()
+    return np.concatenate([b.best for b in blocks]) / (alpha * alpha)
 
 
 def _extreme_side_vectors(caps, alpha, budget=EXTREME_POINT_BUDGET):

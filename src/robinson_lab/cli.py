@@ -67,6 +67,8 @@ def _load_config(blob):
             raise _Error("config %s must be an integer" % key)
     if cfg["p"] == "inf":
         cfg["p"] = math.inf
+    elif type(cfg["p"]) not in (int, float):
+        raise _Error('config p must be a number or "inf"')
     return cfg
 
 

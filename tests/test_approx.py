@@ -1,7 +1,9 @@
 """Window suprema/infima, monotone envelope, Robinson approximation."""
 
+import collections
 import hashlib
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -222,6 +224,83 @@ def test_heuristic_loop_matches_the_dense_reference():
     assert lone > 0          # the one-row padding case was exercised
 
 
+# The most grid points one heuristic window search takes at each kernel size
+# that a pinned hash, an acceptance criterion or a benchmark workload uses
+# (feasible points, or g (g + 1) / 2 on recover's own grid).
+ROWS_AT_SIZE = {16: 741, 20: 210, 24: 300, 32: 46971, 40: 820, 64: 11628,
+                128: 5253, 160: 4656, 200: 16290}
+
+
+@pytest.mark.parametrize("n", sorted(ROWS_AT_SIZE))
+def test_blas_gives_a_row_the_same_bits_in_any_product_of_two_or_more_rows(n):
+    # the window search's shrinking active sets and its blocks take products
+    # over subsets of the grid points, and its results equal the dense
+    # loop's only while this holds
+    rows = ROWS_AT_SIZE[n]
+    rng = np.random.Generator(np.random.Philox(n))
+    x = rng.uniform(0.0, 1.0, (rows, n))
+    v = rng.uniform(-1.0, 2.0, (n, n))
+    full = x @ v
+    for m in np.unique(np.geomspace(2, rows, 12).astype(int)):
+        for lo in (0, 1, rows - m):
+            assert np.array_equal(x[lo:lo + m] @ v, full[lo:lo + m]), (
+                "BLAS gives rows of a %d-row product other bits than the %d-row "
+                "product at n=%d" % (m, rows, n))
+
+
+def test_blocked_search_matches_the_dense_reference(monkeypatch):
+    restart, step = approx_mod._Block.restart, approx_mod._Block.round
+    logs = collections.defaultdict(list)   # start -> each block's round results
+    padded, threads = [], set()
+
+    def spy_restart(self):
+        self.log = []
+        logs[getattr(self, "n_starts", 0)].append(self.log)
+        self.n_starts = getattr(self, "n_starts", 0) + 1
+        return restart(self)
+
+    def spy_round(self):
+        threads.add(threading.get_ident())
+        if self.t_new is not None:
+            moved = np.count_nonzero(np.any(self.t_new != self.t, axis=1))
+            if moved == 1 and len(self.t) > 1:
+                padded.append(True)
+        self.log.append(step(self))
+        return self.log[-1]
+
+    monkeypatch.setattr(approx_mod._Block, "restart", spy_restart)
+    monkeypatch.setattr(approx_mod._Block, "round", spy_round)
+    rng = np.random.Generator(np.random.Philox(4243))
+    cases = []                             # (points, n, near-tie kernel)
+    for k, p_cnt in enumerate((1, 2, 3, 4, 5, 9, 50, 300)):
+        cases += [(p_cnt, (16, 20, 24, 32, 40)[k % 5], False), (p_cnt, 40, True)]
+    staggered = False
+    for p_cnt, n, ties in cases:
+        v = sym(rng, n, -1, 2).values
+        if ties:        # near-ties stall some blocks while others still improve
+            v = np.add.outer(np.arange(n), np.arange(n)) % 3 + 1e-15 * v
+        alpha = float(rng.uniform(0.05, 0.4))
+        xs = rng.uniform(alpha, 1.0, p_cnt)
+        ys = np.minimum(xs + rng.uniform(0.0, 1.0, p_cnt), 1.0 - alpha)
+        a_caps = _availability(xs, n, "left")
+        b_caps = _availability(ys, n, "right")
+        want, _ = dense_ul_heuristic(v, alpha, a_caps, b_caps)
+        for cells in (n, 40 * n):
+            monkeypatch.setattr(approx_mod, "BLOCK_CELLS", cells)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(approx_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+                logs.clear()
+                threads.clear()
+                got = _ul_heuristic_many(v, alpha, _signed_caps(a_caps), _signed_caps(b_caps))
+                assert np.array_equal(got, want)
+                blocks = len(logs[0])
+                assert blocks == max(1, min(p_cnt // 2, p_cnt * n // cells))
+                assert len(threads) == min(cpus, blocks)
+                staggered |= any(len({len(log) for log in start}) > 1 for start in logs.values())
+    assert padded            # some block kept a frozen row beside a lone mover
+    assert staggered         # some block finished a start while another went on
+
+
 def fill_rows(rng, p_cnt, n, alpha, kk):
     """Scores and caps that cover the top-K kernel's cases: random,
     three-valued and signed-zero scores; availability-like caps, rows with
@@ -311,6 +390,8 @@ def test_heuristic_approximation_bytes_are_pinned():
         (24, 0.2, None, 1): "dc855625ea0c54b9169636a2b8c6fe56cab298f0b21788a09affbeba3e544691",
         (40, 0.1, None, 2): "78ecd15365e93856fba00233ffaecf2630be6a08570dfd05340de489ba4f07fa",
         (16, 0.2, 64, 3): "8001b1a0cd2c7bd76b68a4540668b92c9024c23a4a85d68480799849c4a831a0",
+        # five blocks of BLOCK_CELLS: the only pin the blocked search splits
+        (32, 0.2, 256, 4): "7d67d7d0d1c8cdef5e7263ae1fc72be49939521fd8b58b472660ca20fd4d6337",
     }
     for (n, alpha, grid_n, seed), want in pins.items():
         rng = np.random.Generator(np.random.Philox(seed))

@@ -383,3 +383,16 @@ def test_cli_config_integers_are_not_truncated(tmp_path, capsys, key):
     code, _ = run_json(["cutnorm", "--in", str(path), "--config",
                         json.dumps({key: 3.0})], capsys)
     assert code == 0
+
+
+def test_cli_config_p_must_be_a_number_or_inf(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    save_graphon(StepGraphon(N3), path)
+    for bad in ("6", "abc", None, True, [6]):
+        blob = json.dumps({"p": bad})
+        assert cli.main(["recover", "--in", str(path), "--config", blob]) == 1
+        assert 'config p must be a number or "inf"' in capsys.readouterr().err
+    for good, want in ((6, 6), (6.0, 6.0), ("inf", "inf")):
+        code, rep = run_json(["recover", "--in", str(path), "--config",
+                              json.dumps({"p": good})], capsys)
+        assert code == 0 and rep["p"] == want
