@@ -15,7 +15,6 @@ deterministic lower bound.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import os
@@ -27,6 +26,7 @@ from .core import StepGraphon, is_robinson
 GUARD = 1e-15                  # feasibility slack on measures
 EXTREME_POINT_BUDGET = 200_000  # exact-mode enumeration size limit
 BLOCK_CELLS = 1 << 16          # grid points x cells per block of the window search
+ROUNDS = 40                    # alternation rounds per start of the window search
 
 
 # ---------------------------------------------------------------------------
@@ -191,53 +191,6 @@ def _t_starts(v, alpha, b_caps):
     yield _knap_fill_batch(mid, b_caps, alpha, minimize=True)             # middle
 
 
-class _Block:
-    """A run of grid points searched together: the alternation of the
-    current start on the points still moving, and each point's best value
-    over the starts so far."""
-
-    def __init__(self, v, alpha, kk, a_caps, b_caps):
-        self.v, self.alpha, self.kk = v, alpha, kk
-        self.a_caps, self.b_caps = a_caps, b_caps
-        self.starts = _t_starts(v, alpha, b_caps)
-        self.best = self.prev = np.full(len(a_caps), -np.inf)
-
-    def restart(self):
-        """Records the best values of the start just run and takes the next
-        one; False when there is none left."""
-        self.best = np.maximum(self.best, self.prev)
-        self.t = next(self.starts, None)
-        self.t_new = None
-        self.prev = np.full(len(self.a_caps), -np.inf)
-        self.rows, self.a, self.b = np.arange(len(self.a_caps)), self.a_caps, self.b_caps
-        return self.t is not None
-
-    def round(self):
-        """Drops the rows whose T side came back unchanged from the last
-        round (a frozen row pads a lone mover), then runs one more round.
-        Returns whether every value stays within 1e-14 of its row's best,
-        or None when no row moved (the block has finished this start)."""
-        if self.t_new is not None:
-            moving = np.any(self.t_new != self.t, axis=1)
-            n_moving = np.count_nonzero(moving)
-            if n_moving == 0:
-                return None
-            if n_moving == 1 and moving.size > 1:
-                moving[np.argmin(moving)] = True      # pad with a frozen row
-            self.t = self.t_new
-            if not moving.all():
-                self.rows, self.a, self.b = self.rows[moving], self.a[moving], self.b[moving]
-                self.t = self.t[moving]
-        sv = _knap_fill_top(self.t @ self.v, self.a, self.alpha, self.kk) @ self.v
-        self.t_new = _knap_fill_top(sv, self.b, self.alpha, self.kk)
-        self.val = np.einsum("ij,ij->i", sv, self.t_new)
-        return bool(np.all(self.val <= self.prev[self.rows] + 1e-14))
-
-    def keep(self):
-        """Records the values of the last round."""
-        self.prev[self.rows] = np.maximum(self.prev[self.rows], self.val)
-
-
 def _usable_cpus():
     """How many CPUs this process may run on."""
     try:
@@ -246,66 +199,86 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _ul_heuristic_many(v, alpha, a_caps, b_caps, iters=40):
-    """Vectorised alternating maximisation of the window average across many
-    query points.  ``a_caps``/``b_caps`` are (P, n) signed availability
-    matrices (:func:`_signed_caps`).  Returns the best value per point
-    (already divided by alpha^2).
+def _ul_heuristic_block(v, alpha, xs, ys):
+    """Alternating maximisation of the window average at the query points
+    (xs[k], ys[k]), all points in one set of array operations.  Returns the
+    best value per point (already divided by alpha^2), 0 where a side lacks
+    room.
 
-    Each start alternates only the rows still moving.  The S response is a
-    function of t alone, so a row whose new t equals its old t is at a fixed
-    point: its value repeats, already counted in ``prev``, and the row is
-    dropped.  A one-row product does not give its row the bits that row gets
-    in a larger product (numpy routes it to gemv), so when P >= 2 a frozen
-    row pads the active set to at least two rows.  A fill gives mass to at
+    Each point runs the five starts one after another.  Within a start it
+    alternates knapsack responses and keeps a running maximum of its value
+    until its T side comes back unchanged or ``ROUNDS`` rounds have run.  The
+    S response is a function of t alone, so such a point is at a fixed point:
+    its value repeats, already counted, and the point drops out.  A one-row
+    product does not give its row the bits that row gets in a larger product
+    (numpy routes it to gemv), so when two or more points remain a frozen
+    point pads the active set to at least two rows.  A fill gives mass to at
     most floor(alpha n) + 2 cells (caps are at most 1/n), so the responses
     sort only floor(alpha n) + 3 cells per row.
 
-    The points run in blocks of about ``BLOCK_CELLS`` cells (P n cells in
-    all, at least two points a block), each with its own active set, on one
-    thread per usable CPU.  Rows interact only through the stop test, which
-    all blocks take together once a round.  So the values equal those of
-    alternating every point until the last one stops whenever each row of a
-    product of two or more rows gets the bits it gets in any other such
-    product.  With OpenBLAS on AVX-512 that holds at every row count for
-    n <= 16 and for n a multiple of 8, but not for every n (see README).
+    Points never interact, so a point's value is that of searching it alone
+    whenever BLAS gives each row of a product of two or more rows the same
+    bits in every such product.  With OpenBLAS on AVX-512 that holds at
+    every row count for n <= 16 and for n a multiple of 8, but not for every
+    n (see README).
     """
-    p_cnt, n = a_caps.shape
+    n = v.shape[0]
+    a_caps = _availability(xs, n, "left")
+    b_caps = _availability(ys, n, "right")
+    room = (a_caps.sum(axis=1) >= alpha - GUARD) & (b_caps.sum(axis=1) >= alpha - GUARD)
+    a_caps, b_caps = _signed_caps(a_caps[room]), _signed_caps(b_caps[room])
     kk = int(alpha * n) + 3
+    best = np.full(len(a_caps), -np.inf)
+    for t in _t_starts(v, alpha, b_caps):
+        rows, a, b = np.arange(len(a_caps)), a_caps, b_caps
+        for _ in range(ROUNDS):
+            sv = _knap_fill_top(t @ v, a, alpha, kk) @ v
+            t_new = _knap_fill_top(sv, b, alpha, kk)
+            best[rows] = np.maximum(best[rows], np.einsum("ij,ij->i", sv, t_new))
+            moving = np.any(t_new != t, axis=1)
+            n_moving = np.count_nonzero(moving)
+            if n_moving == 0:
+                break
+            if n_moving == 1 and moving.size > 1:
+                moving[np.argmin(moving)] = True      # pad with a frozen row
+            t = t_new
+            if not moving.all():
+                rows, a, b, t = rows[moving], a[moving], b[moving], t[moving]
+    out = np.zeros(len(room))
+    out[room] = best / (alpha * alpha)
+    return out
+
+
+def _ul_heuristic_many(v, alpha, xs, ys):
+    """:func:`_ul_heuristic_block` over many query points, in blocks of about
+    ``BLOCK_CELLS`` cells (P n cells in all for P points, at least two points
+    a block) on one thread per usable CPU, the caller's thread among them.
+    Each block runs to the end on one thread and writes its own slice of the
+    result, so the values depend on the block layout only through BLAS (see
+    :func:`_ul_heuristic_block`), never on the CPU count."""
+    p_cnt, n = len(xs), v.shape[0]
     n_blk = max(1, min(p_cnt // 2, p_cnt * n // BLOCK_CELLS))
     edges = np.arange(n_blk + 1) * p_cnt // n_blk
-    blocks = [_Block(v, alpha, kk, a_caps[lo:hi], b_caps[lo:hi])
-              for lo, hi in zip(edges[:-1], edges[1:])]
     workers = min(_usable_cpus(), n_blk)
-    pool = contextlib.nullcontext()
-    if workers > 1:
-        # imported here: it brings in logging, a few ms at the start of every
-        # process, also of those that never search more than one block
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(workers - 1)
-    with pool:
+    out = np.empty(p_cnt)
 
-        def each(method, blks):
-            """``method`` of every block, in order; the caller's thread
-            takes every workers-th block, each pool thread a share."""
-            shares = [pool.submit(lambda k=k: [method(b) for b in blks[k::workers]])
-                      for k in range(1, workers)]
-            out = [None] * len(blks)
-            out[::workers] = [method(b) for b in blks[::workers]]
-            for k, share in enumerate(shares, 1):
-                out[k::workers] = share.result()
-            return out
+    def share(k):
+        """Searches every workers-th block from block k."""
+        for lo, hi in zip(edges[k:-1:workers], edges[k + 1::workers]):
+            out[lo:hi] = _ul_heuristic_block(v, alpha, xs[lo:hi], ys[lo:hi])
 
-        while all(each(_Block.restart, blocks)):
-            live = blocks
-            for _ in range(iters):
-                flags = each(_Block.round, live)
-                live = [b for b, f in zip(live, flags) if f is not None]
-                if all(f for f in flags if f is not None):
-                    break
-                for b in live:
-                    b.keep()
-    return np.concatenate([b.best for b in blocks]) / (alpha * alpha)
+    if workers == 1:
+        share(0)
+        return out
+    # imported here: it brings in logging, a few ms at the start of every
+    # process, also of those that never search more than one block
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers - 1) as pool:
+        shares = [pool.submit(share, k) for k in range(1, workers)]
+        share(0)
+        for done in shares:
+            done.result()
+    return out
 
 
 def _extreme_side_vectors(caps, alpha, budget=EXTREME_POINT_BUDGET):
@@ -379,8 +352,7 @@ def ul_sup(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
     if a.sum() < alpha - GUARD or b.sum() < alpha - GUARD:
         return 0.0
     if mode == "heuristic":
-        return float(_ul_heuristic_many(v, alpha, _signed_caps(a[None, :]),
-                                        _signed_caps(b[None, :]))[0])
+        return float(_ul_heuristic_block(v, alpha, np.array([x]), np.array([y]))[0])
     if mode != "exact":
         raise ValueError("mode must be exact or heuristic")
     # enumerate the sparser side; the graphon is symmetric so swapping sides
@@ -430,16 +402,22 @@ class RobinsonApprox:
         return StepGraphon(self.values)
 
 
-def _grid_size(w, grid_n):
-    """The grid resolution: ``grid_n``, or the kernel's own when None."""
-    g = w.n if grid_n is None else grid_n
+def _whole_number(value, least, message):
+    """``value`` as an int; ValueError(message) unless it is a whole number
+    of at least ``least`` (a bool is not)."""
     try:
-        ok = float(g).is_integer() and g >= 1
+        ok = not isinstance(value, bool) and float(value).is_integer() and value >= least
     except (TypeError, ValueError):         # e.g. a string from a config file
         ok = False
     if not ok:
-        raise ValueError("grid_n must be a positive integer")
-    return int(g)
+        raise ValueError(message)
+    return int(value)
+
+
+def _grid_size(w, grid_n):
+    """The grid resolution: ``grid_n``, or the kernel's own when None."""
+    return _whole_number(w.n if grid_n is None else grid_n, 1,
+                         "grid_n must be a positive integer")
 
 
 def _corner_points(grid_n, alpha):
@@ -489,15 +467,7 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
         for k in np.flatnonzero(feasible):
             vals[k] = ul_sup(w, float(xs[k]), float(ys[k]), alpha, mode="exact")
     else:
-        a_caps = _availability(xs[feasible], w.n, "left")
-        b_caps = _availability(ys[feasible], w.n, "right")
-        ok = (a_caps.sum(axis=1) >= alpha - GUARD) & (b_caps.sum(axis=1) >= alpha - GUARD)
-        a_caps = _signed_caps(a_caps[ok])      # frees the unfiltered caps
-        b_caps = _signed_caps(b_caps[ok])
-        got = np.zeros(ok.size)
-        if np.any(ok):
-            got[ok] = _ul_heuristic_many(w.values, alpha, a_caps, b_caps)
-        vals[feasible] = got
+        vals[feasible] = _ul_heuristic_many(w.values, alpha, xs[feasible], ys[feasible])
 
     grid = np.zeros((g, g))
     grid[i, j] = vals

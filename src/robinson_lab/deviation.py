@@ -276,6 +276,8 @@ def deviation_heuristic(w: StepGraphon, refinement: int = 1,
     r = int(refinement)
     if r < 1:
         raise ValueError("refinement must be >= 1")
+    if restarts < 0:
+        raise ValueError("restarts must be >= 0")
     q = w.n * r
     v = refine(w, r).values
     rng = np.random.Generator(np.random.Philox(seed))

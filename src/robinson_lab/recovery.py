@@ -43,9 +43,11 @@ def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
     kernel the certificate is returned without a new search: both solvers
     are deterministic functions of these inputs.
     """
+    want = int(refinement)
+    if want < 1:
+        raise ValueError("refinement must be >= 1")
     if known is not None and known[0].values.tobytes() == w.values.tobytes():
         return known[1]
-    want = max(1, int(refinement))
     r_exact = min(want, EXACT_DEVIATION_CAP // w.n)
     if r_exact >= 1:
         return deviation_exact(w, refinement=r_exact)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .approx import BoxIntegrator, GUARD
+from .approx import BoxIntegrator, GUARD, _whole_number
 from .core import StepGraphon
 
 
@@ -109,12 +109,8 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
         raise ValueError("regions need a nonnegative graphon")
     if not (0 < alpha < 0.5):
         raise ValueError("alpha must lie in (0, 0.5)")
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    raster = int(raster)
-    if raster < 8:
-        raise ValueError("raster too small")
+    m = _whole_number(m, 1, "m must be a positive integer")
+    raster = _whole_number(raster, 8, "raster must be an integer >= 8")
     level_max = max(1, int(math.ceil(float(w.values.max()) - 1e-12)))
     total = m * level_max
 

@@ -1,6 +1,5 @@
 """Window suprema/infima, monotone envelope, Robinson approximation."""
 
-import collections
 import hashlib
 import itertools
 import threading
@@ -25,6 +24,7 @@ from robinson_lab.approx import (
     _availability,
     _knap_fill_batch,
     _knap_fill_top,
+    GUARD,
     _signed_caps,
     _ul_heuristic_many,
 )
@@ -78,24 +78,29 @@ def oracle_window_average(v, x1, x2, y1, y2):
     return total / ((x2 - x1) * (y2 - y1))
 
 
-def dense_ul_heuristic(v, alpha, a_caps, b_caps, iters=40):
-    """Every start alternates all rows until the stop test holds for all of
-    them.  Also reports whether a round that went on saw exactly one of two
-    or more rows change its T side (where the active set needs padding)."""
-    p_cnt, n = a_caps.shape
+def dense_starts(v, alpha, b_caps):
+    """The five T-side starts of the window search, one row per point."""
+    p_cnt, n = b_caps.shape
     colmean = v.mean(axis=0)[None, :].repeat(p_cnt, axis=0)
     asc = np.broadcast_to(np.arange(n, dtype=np.float64)[None, :], (p_cnt, n))
     with np.errstate(invalid="ignore", divide="ignore"):
         tot = b_caps.sum(axis=1, keepdims=True)
         uni = np.where(tot > 0, b_caps * (alpha / tot), 0.0)
-    starts = [_knap_fill_batch(asc, b_caps, alpha, minimize=True),
-              _knap_fill_batch(asc, b_caps, alpha, minimize=False),
-              uni,
-              _knap_fill_batch(colmean, b_caps, alpha),
-              _knap_fill_batch(np.abs(asc - (n - 1) / 2.0), b_caps, alpha, minimize=True)]
+    return [_knap_fill_batch(asc, b_caps, alpha, minimize=True),
+            _knap_fill_batch(asc, b_caps, alpha, minimize=False),
+            uni,
+            _knap_fill_batch(colmean, b_caps, alpha),
+            _knap_fill_batch(np.abs(asc - (n - 1) / 2.0), b_caps, alpha, minimize=True)]
+
+
+def dense_ul_heuristic(v, alpha, a_caps, b_caps, iters=40):
+    """Every start alternates all rows until the stop test holds for all of
+    them.  Also reports whether a round that went on saw exactly one of two
+    or more rows change its T side (where the active set needs padding)."""
+    p_cnt = len(a_caps)
     best = np.full(p_cnt, -np.inf)
     lone_mover = False
-    for t in starts:
+    for t in dense_starts(v, alpha, b_caps):
         prev = np.full(p_cnt, -np.inf)
         for _ in range(iters):
             s = _knap_fill_batch(t @ v, a_caps, alpha)
@@ -109,6 +114,38 @@ def dense_ul_heuristic(v, alpha, a_caps, b_caps, iters=40):
             t = t_new
         best = np.maximum(best, prev)
     return best / (alpha * alpha), lone_mover
+
+
+def per_point_ul_heuristic(v, alpha, xs, ys, iters=40):
+    """The window search with each point on its own: every start alternates
+    all rows together every round, and each row keeps a running maximum over
+    the rounds it runs and stops once its T side repeats (or after
+    ``iters`` rounds); 0 where a side lacks room.  Also reports whether a
+    round saw exactly one of two or more running rows change its T side
+    (where the search pads its active set), and the rounds each start ran."""
+    n = v.shape[0]
+    a_caps = _availability(xs, n, "left")
+    b_caps = _availability(ys, n, "right")
+    room = (a_caps.sum(axis=1) >= alpha - GUARD) & (b_caps.sum(axis=1) >= alpha - GUARD)
+    a_caps, b_caps = a_caps[room], b_caps[room]
+    best = np.full(len(a_caps), -np.inf)
+    lone_mover, rounds = False, []
+    for t in dense_starts(v, alpha, b_caps):
+        running = np.ones(len(a_caps), dtype=bool)
+        for k in range(iters):
+            s = _knap_fill_batch(t @ v, a_caps, alpha)
+            t_new = _knap_fill_batch(s @ v, b_caps, alpha)
+            val = np.einsum("ij,ij->i", s @ v, t_new)
+            best[running] = np.maximum(best[running], val[running])
+            moved = running & np.any(t_new != t, axis=1)
+            lone_mover |= np.count_nonzero(running) > 1 and np.count_nonzero(moved) == 1
+            running, t = moved, t_new
+            if not running.any():
+                break
+        rounds.append(k + 1)
+    out = np.zeros(len(room))
+    out[room] = best / (alpha * alpha)
+    return out, lone_mover, rounds
 
 
 def loop_envelope(values):
@@ -207,21 +244,28 @@ def test_ul_sup_validation():
 
 def test_heuristic_loop_matches_the_dense_reference():
     rng = np.random.Generator(np.random.Philox(112))
-    lone = 0
-    for p_cnt in (1, 2, 3, 50):
-        for _ in range(8):
-            n = int(rng.integers(4, 20))
-            v = sym(rng, n, -1, 2).values
-            alpha = float(rng.uniform(0.05, 0.4))
-            xs = rng.uniform(alpha, 1.0, p_cnt)
-            ys = np.minimum(xs + rng.uniform(0.0, 1.0, p_cnt), 1.0 - alpha)
-            a_caps = _availability(xs, n, "left")
-            b_caps = _availability(ys, n, "right")
-            want, lone_mover = dense_ul_heuristic(v, alpha, a_caps, b_caps)
-            got = _ul_heuristic_many(v, alpha, _signed_caps(a_caps), _signed_caps(b_caps))
-            assert np.array_equal(got, want)
-            lone += lone_mover
+    draws = [(p_cnt, False) for p_cnt in (1, 2, 3, 50) for _ in range(8)]
+    draws += [(p_cnt, True) for p_cnt in (1, 2, 3, 50)]     # drawn after the others
+    lone = above = 0
+    for p_cnt, ties in draws:
+        n = 40 if ties else int(rng.integers(4, 20))
+        v = sym(rng, n, -1, 2).values
+        if ties:        # near-ties: a point may improve after the others stall
+            v = np.add.outer(np.arange(n), np.arange(n)) % 3 + 1e-15 * v
+        alpha = float(rng.uniform(0.05, 0.4))
+        xs = rng.uniform(alpha, 1.0, p_cnt)
+        ys = np.minimum(xs + rng.uniform(0.0, 1.0, p_cnt), 1.0 - alpha)
+        want, lone_mover, _ = per_point_ul_heuristic(v, alpha, xs, ys)
+        got = _ul_heuristic_many(v, alpha, xs, ys)
+        assert np.array_equal(got, want)
+        # each point runs at least the rounds the global stop test gave it
+        old, _ = dense_ul_heuristic(v, alpha, _availability(xs, n, "left"),
+                                    _availability(ys, n, "right"))
+        assert np.all(got >= old)
+        above += np.any(got > old)
+        lone += lone_mover
     assert lone > 0          # the one-row padding case was exercised
+    assert above > 0         # and some point beat the global stop test
 
 
 # The most grid points one heuristic window search takes at each kernel size
@@ -249,56 +293,59 @@ def test_blas_gives_a_row_the_same_bits_in_any_product_of_two_or_more_rows(n):
 
 
 def test_blocked_search_matches_the_dense_reference(monkeypatch):
-    restart, step = approx_mod._Block.restart, approx_mod._Block.round
-    logs = collections.defaultdict(list)   # start -> each block's round results
-    padded, threads = [], set()
+    search = approx_mod._ul_heuristic_block
+    calls = []                             # (thread, lone mover, rounds per start)
 
-    def spy_restart(self):
-        self.log = []
-        logs[getattr(self, "n_starts", 0)].append(self.log)
-        self.n_starts = getattr(self, "n_starts", 0) + 1
-        return restart(self)
+    def spy(v, alpha, xs, ys):
+        _, lone_mover, rounds = per_point_ul_heuristic(v, alpha, xs, ys)
+        calls.append((threading.get_ident(), lone_mover, tuple(rounds)))
+        return search(v, alpha, xs, ys)
 
-    def spy_round(self):
-        threads.add(threading.get_ident())
-        if self.t_new is not None:
-            moved = np.count_nonzero(np.any(self.t_new != self.t, axis=1))
-            if moved == 1 and len(self.t) > 1:
-                padded.append(True)
-        self.log.append(step(self))
-        return self.log[-1]
-
-    monkeypatch.setattr(approx_mod._Block, "restart", spy_restart)
-    monkeypatch.setattr(approx_mod._Block, "round", spy_round)
+    monkeypatch.setattr(approx_mod, "_ul_heuristic_block", spy)
     rng = np.random.Generator(np.random.Philox(4243))
     cases = []                             # (points, n, near-tie kernel)
     for k, p_cnt in enumerate((1, 2, 3, 4, 5, 9, 50, 300)):
         cases += [(p_cnt, (16, 20, 24, 32, 40)[k % 5], False), (p_cnt, 40, True)]
-    staggered = False
+    padded = staggered = False
     for p_cnt, n, ties in cases:
         v = sym(rng, n, -1, 2).values
-        if ties:        # near-ties stall some blocks while others still improve
+        if ties:        # near-ties stall some points while others still improve
             v = np.add.outer(np.arange(n), np.arange(n)) % 3 + 1e-15 * v
         alpha = float(rng.uniform(0.05, 0.4))
         xs = rng.uniform(alpha, 1.0, p_cnt)
         ys = np.minimum(xs + rng.uniform(0.0, 1.0, p_cnt), 1.0 - alpha)
-        a_caps = _availability(xs, n, "left")
-        b_caps = _availability(ys, n, "right")
-        want, _ = dense_ul_heuristic(v, alpha, a_caps, b_caps)
+        want, _, _ = per_point_ul_heuristic(v, alpha, xs, ys)
         for cells in (n, 40 * n):
             monkeypatch.setattr(approx_mod, "BLOCK_CELLS", cells)
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(approx_mod, "_usable_cpus", lambda cpus=cpus: cpus)
-                logs.clear()
-                threads.clear()
-                got = _ul_heuristic_many(v, alpha, _signed_caps(a_caps), _signed_caps(b_caps))
+                calls.clear()
+                got = _ul_heuristic_many(v, alpha, xs, ys)
                 assert np.array_equal(got, want)
-                blocks = len(logs[0])
+                blocks = len(calls)
                 assert blocks == max(1, min(p_cnt // 2, p_cnt * n // cells))
-                assert len(threads) == min(cpus, blocks)
-                staggered |= any(len({len(log) for log in start}) > 1 for start in logs.values())
+                assert len({thread for thread, _, _ in calls}) == min(cpus, blocks)
+                padded |= any(lone for _, lone, _ in calls)
+                staggered |= len({rounds for _, _, rounds in calls}) > 1
     assert padded            # some block kept a frozen row beside a lone mover
     assert staggered         # some block finished a start while another went on
+
+
+def test_window_search_leaves_no_thread_behind(monkeypatch):
+    search = approx_mod._ul_heuristic_block
+    threads = set()
+
+    def spy(v, alpha, xs, ys):
+        threads.add(threading.get_ident())
+        return search(v, alpha, xs, ys)
+
+    monkeypatch.setattr(approx_mod, "_ul_heuristic_block", spy)
+    monkeypatch.setattr(approx_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(approx_mod, "BLOCK_CELLS", 16 * 40)
+    before = threading.active_count()
+    robinson_approx(toeplitz_decay(16, seed=5), 0.2, grid_n=48, mode="heuristic")
+    assert len(threads) == 2                 # the blocks ran on two threads
+    assert threading.active_count() == before
 
 
 def fill_rows(rng, p_cnt, n, alpha, kk):
@@ -507,7 +554,7 @@ def test_robinson_approx_alpha_zero_paths():
 
 def test_grid_n_must_be_a_positive_integer():
     w = toeplitz_decay(8, seed=1)
-    for bad in (2.5, 0, -3, float("nan")):
+    for bad in (2.5, 0, -3, float("nan"), True):
         with pytest.raises(ValueError, match="grid_n must be a positive integer"):
             robinson_approx(w, 0.25, grid_n=bad)
         with pytest.raises(ValueError, match="grid_n must be a positive integer"):

@@ -132,6 +132,8 @@ def test_cap_and_validation():
         deviation_exact(w, 0)
     with pytest.raises(ValueError):
         deviation_heuristic(w, 0)
+    with pytest.raises(ValueError, match="restarts must be >= 0"):
+        deviation_heuristic(w, 1, restarts=-3)
     deviation_heuristic(w, 2)            # heuristic has no cap
 
 

@@ -208,6 +208,13 @@ def test_compute_regions_validation():
         compute_regions(w, m=2, alpha=0.5)
     with pytest.raises(ValueError):
         compute_regions(w, m=2, alpha=0.2, raster=4)
+    for bad in (2.5, True, "2", float("nan")):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            compute_regions(w, m=bad, alpha=0.2)
+    for bad in (64.9, True, "64", 8.5):
+        with pytest.raises(ValueError, match="raster must be an integer >= 8"):
+            compute_regions(w, m=2, alpha=0.2, raster=bad)
+    assert compute_regions(w, m=2.0, alpha=0.2, raster=np.int64(16)).raster == 16
 
 
 def test_quadratic_region_map_regression():

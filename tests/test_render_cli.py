@@ -312,6 +312,30 @@ def test_cli_config_handling(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_refinement_must_be_at_least_one(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    save_graphon(StepGraphon(N3), path)
+    runs = [["lambda", "--in", str(path), "--refinement", bad] for bad in ("0", "-2")]
+    runs += [["lambda", "--in", str(path), "--mode", mode, "--refinement", "0"]
+             for mode in ("exact", "heuristic")]
+    runs += [["recover", "--in", str(path), "--config", '{"refinement": 0}'],
+             ["recover", "--bounded", "--in", str(path), "--config", '{"refinement": -2}']]
+    for argv in runs:
+        assert cli.main(argv) == 1
+        assert "refinement must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_restarts_must_not_be_negative(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    m = np.random.Generator(np.random.Philox(20)).uniform(0.0, 1.0, (20, 20))
+    save_graphon(StepGraphon(0.5 * (m + m.T)), path)
+    assert cli.main(["lambda", "--in", str(path), "--config", '{"restarts": -3}']) == 1
+    assert "restarts must be >= 0" in capsys.readouterr().err
+    code, rep = run_json(["lambda", "--in", str(path), "--config", '{"restarts": 0}'],
+                         capsys)
+    assert code == 0 and rep["mode"] == "heuristic"      # the swept starts remain
+
+
 def test_cli_validation_exit_codes(tmp_path, capsys):
     good = tmp_path / "w.txt"
     save_graphon(StepGraphon(N3), good)
