@@ -74,34 +74,25 @@ class BoxIntegrator:
 
 
 def diagonal_band_integral(w: StepGraphon, halfwidth: float) -> float:
-    """Integral of w over the band |x - y| <= halfwidth, exact."""
+    """Integral of w over the band |x - y| <= halfwidth, exact.
+
+    In a cell at diagonal offset k = j - i the band covers
+    A(h - k/n) - A(-h - k/n), with A the (triangular) area function of
+    y - x over one cell, so each diagonal of w is summed once."""
     n = w.n
     h = float(halfwidth)
     if h <= 0:
         return 0.0
+    c = 1.0 / n
 
-    def area_below(c):
-        # per-cell area of {y - x <= c} inside each cell, exact closed form:
-        # integrate clamp(x + c - y0, 0, 1/n) over the cell's x-range
-        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        x0 = i / n
-        y0 = j / n
-        cw = 1.0 / n
+    def area_below(t):      # area of {y - x <= t} in a c x c cell
+        t = np.clip(t, -c, c)
+        return np.where(t < 0, 0.5 * (c + t) ** 2, c * c - 0.5 * (c - t) ** 2)
 
-        def seg_int(lo, hi):
-            # integral of (x + c - y0) dx on [lo, hi], elementwise, empty -> 0
-            lo_ = np.minimum(np.maximum(lo, x0), x0 + cw)
-            hi_ = np.minimum(np.maximum(hi, x0), x0 + cw)
-            return (0.5 * (hi_ ** 2 - lo_ ** 2) + (c - y0) * (hi_ - lo_))
-
-        zero_at = y0 - c          # below this x the integrand is <= 0
-        full_at = y0 + cw - c     # above this x the integrand caps at 1/n
-        mid = seg_int(zero_at, full_at)
-        top = np.clip(x0 + cw - np.maximum(full_at, x0), 0.0, cw) * cw
-        return mid + top
-
-    per_cell = area_below(h) - area_below(-h)
-    return float((w.values * per_cell).sum())
+    i, j = np.indices((n, n))
+    diag = np.bincount((j - i + n - 1).ravel(), weights=w.values.ravel())
+    k = np.arange(1 - n, n) * c
+    return float(diag @ (area_below(h - k) - area_below(-h - k)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +243,10 @@ def _ul_heuristic_block(v, alpha, xs, ys):
 def _ul_heuristic_many(v, alpha, xs, ys):
     """:func:`_ul_heuristic_block` over many query points, in blocks of about
     ``BLOCK_CELLS`` cells (P n cells in all for P points, at least two points
-    a block) on one thread per usable CPU, the caller's thread among them.
-    Each block runs to the end on one thread and writes its own slice of the
-    result, so the values depend on the block layout only through BLAS (see
-    :func:`_ul_heuristic_block`), never on the CPU count."""
+    a block) on up to one thread per usable CPU, the caller's thread among
+    them.  Each block runs to the end on one thread and writes its own slice
+    of the result, so the values depend on the block layout only through
+    BLAS (see :func:`_ul_heuristic_block`), never on the CPU count."""
     p_cnt, n = len(xs), v.shape[0]
     n_blk = max(1, min(p_cnt // 2, p_cnt * n // BLOCK_CELLS))
     edges = np.arange(n_blk + 1) * p_cnt // n_blk

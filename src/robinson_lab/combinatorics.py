@@ -129,12 +129,14 @@ class _Compressed:
 
 
 def _first_window(comp: _Compressed, delta, bound, wrap):
-    """Latest compressed start s with |window integral| <= bound.
+    """Latest compressed start s with |window integral| <= bound, up to a
+    slack of 1e-12 (1 + int_P |u|) for the rounding of the integrals.
 
     Non-wrap windows are [s, s+delta] for s in [0, L-delta]; wrap windows are
     [s, L] + [0, s+delta-L] for s in [L-delta, L].  The window integral is
     piecewise linear in s, so each linear piece is solved in closed form.
     """
+    slack = 1e-12 * (1.0 + float(np.abs(np.diff(comp.h_pref)).sum()))
     ln = comp.length
     edges = comp.comp_edges
     if wrap:
@@ -155,7 +157,7 @@ def _first_window(comp: _Compressed, delta, bound, wrap):
     grid = np.unique(np.clip(np.concatenate([cands, [lo_s, hi_s]]), lo_s, hi_s))
     for s0, s1 in zip(grid[-2::-1], grid[::-1]):
         i0, i1 = val(s0), val(s1)
-        if abs(i1) <= bound + 1e-15:
+        if abs(i1) <= bound + slack:
             return float(s1)
         hits = []
         for target in (bound, -bound):
@@ -163,7 +165,7 @@ def _first_window(comp: _Compressed, delta, bound, wrap):
                 hits.append(s0 + (target - i0) * (s1 - s0) / (i1 - i0))
         if hits:
             return float(max(hits))
-    if grid.size and abs(val(grid[0])) <= bound + 1e-15:
+    if grid.size and abs(val(grid[0])) <= bound + slack:
         return float(grid[0])
     return None
 
@@ -196,21 +198,12 @@ def split_with_small_remainder(u, p: IntervalSet, beta: float) -> SplitResult:
                            remainder_integral=interval_set_integral(u, p),
                            target_bound=bound)
 
+    # a window that does not wrap need not exist (Levy's universal chord
+    # theorem); the averaging argument guarantees one of the cyclic windows
     start = _first_window(comp, delta, bound, wrap=False)
-    wrapped = False
-    if start is None:
+    wrapped = start is None
+    if wrapped:
         start = _first_window(comp, delta, bound, wrap=True)
-        wrapped = start is not None
-    if start is None:
-        # densified numeric retry, then give up (the averaging argument says
-        # this is unreachable, but guard against float corner cases)
-        for factor in (4, 16):
-            dense = np.linspace(0, comp.length - delta, factor * 512)
-            vals = np.array([comp.h(s + delta) - comp.h(s) for s in dense])
-            hit = np.flatnonzero(np.abs(vals) <= bound + 1e-12)
-            if hit.size:
-                start = float(dense[hit[-1]])
-                break
     if start is None:
         raise ArithmeticError("no small-integral window found")
 

@@ -95,9 +95,10 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
     """Alternating-maximisation lower bound on the cut norm.
 
     Each restart draws a random row subset, then alternates: fix S, set
-    T = {j : column sum > 0}; fix T, reset S likewise; repeat to a fixed
-    point.  Both signs of the objective are searched.  Deterministic for a
-    given seed, and never exceeds the exact value.
+    T = {j : column sum > 0}; fix T, reset S likewise; repeat until S comes
+    back unchanged for every restart (a fixed point) or for 200 rounds.
+    Both signs of the objective are searched.  Deterministic for a given
+    seed, and never exceeds the exact value.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -106,17 +107,14 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
     best = None   # (value_np, branch_order, restart_index, S tuple, T tuple)
     for branch, v in ((0, w.values), (1, -w.values)):
         s = (rng.random((restarts, n)) < 0.5).astype(np.float64)
-        prev = np.full(restarts, -np.inf)
-        for _ in range(200):
-            c = s @ v
-            t = (c > 0).astype(np.float64)
-            r = t @ v
-            s = (r > 0).astype(np.float64)
-            val = np.einsum("ij,ij->i", s @ v, t)
-            if np.all(val <= prev + 1e-15):
-                break
-            prev = np.maximum(prev, val)
         c = s @ v
+        for _ in range(200):
+            t = (c > 0).astype(np.float64)
+            s_new = (t @ v > 0).astype(np.float64)
+            if np.array_equal(s_new, s):
+                break
+            s = s_new
+            c = s @ v
         t = (c > 0).astype(np.float64)
         val = np.einsum("ij,ij->i", c, t)
         order = np.argsort(-val, kind="stable")

@@ -104,15 +104,12 @@ def _reflect(sets, q):
     return tuple(tuple(sorted(q - 1 - i for i in s)) for s in reversed(sets))
 
 
-def _assemble(v, q, refinement, mode, left, right_reflected):
+def _assemble(q, refinement, mode, left, right_reflected):
     t_left, wit_left = left
-    raw_right, wit_right_rev = right_reflected
-    if wit_right_rev is not None:
-        wit_right = _reflect(wit_right_rev, q)
-        # same multiset of entries after reflection, so the value carries over
-        t_right = _triple_value(v, *wit_right, q=q, right=True)
-    else:
-        wit_right, t_right = None, None
+    # the kernel is symmetric, so the reflected witness covers the same
+    # multiset of entries and its correctly rounded value carries over
+    t_right, wit_right_rev = right_reflected
+    wit_right = None if wit_right_rev is None else _reflect(wit_right_rev, q)
     # flooring = choosing the empty triple, so negative witnesses are dropped
     if t_left is None or t_left < 0.0:
         t_left, wit_left = 0.0, None
@@ -145,7 +142,7 @@ def deviation_exact(w: StepGraphon, refinement: int = 1) -> DeviationCertificate
     v = refine(w, r).values
     left = _term_max_exact(v, q)
     right = _term_max_exact(v[::-1, ::-1], q)
-    return _assemble(v, q, r, "exact", left, right)
+    return _assemble(q, r, "exact", left, right)
 
 
 def _block_sizes(kmax):
@@ -283,4 +280,4 @@ def deviation_heuristic(w: StepGraphon, refinement: int = 1,
     rng = np.random.Generator(np.random.Philox(seed))
     left = _term_max_heuristic(v, q, restarts, rng)
     right = _term_max_heuristic(v[::-1, ::-1], q, restarts, rng)
-    return _assemble(v, q, r, "heuristic", left, right)
+    return _assemble(q, r, "heuristic", left, right)

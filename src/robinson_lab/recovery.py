@@ -46,6 +46,8 @@ def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
     want = int(refinement)
     if want < 1:
         raise ValueError("refinement must be >= 1")
+    if restarts < 0:
+        raise ValueError("restarts must be >= 0")
     if known is not None and known[0].values.tobytes() == w.values.tobytes():
         return known[1]
     r_exact = min(want, EXACT_DEVIATION_CAP // w.n)

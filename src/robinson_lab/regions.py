@@ -121,13 +121,10 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
     tri = xs <= ys
 
     # ---- upper-left maxima -------------------------------------------------
-    wmat = _anchored_window_matrix(box, alpha, r)
-    # cmax[ia, ib] = max over anchors a' <= a, b' >= b
-    cmax = np.maximum.accumulate(wmat, axis=0)
-    cmax = np.maximum.accumulate(cmax[:, ::-1], axis=1)[:, ::-1]
     # pixel (ix, iy) may use anchors a <= center x -> index ix, b >= center y
-    # -> index iy + 1
-    v_high = cmax[np.arange(r)[:, None], np.arange(1, r + 1)[None, :]].copy()
+    # -> index iy + 1; the closure below takes the max over all of them
+    wmat = _anchored_window_matrix(box, alpha, r)
+    v_high = wmat[:r, 1:]
     # per-pixel corner window [x-alpha, x] x [y, y+alpha]
     feas = (xs >= alpha - GUARD) & (ys <= 1 - alpha + GUARD)
     corner = np.full((r, r), -np.inf)
@@ -139,17 +136,16 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
     v_high = np.maximum.accumulate(v_high[:, ::-1], axis=1)[:, ::-1]
 
     # ---- lower-right minima ------------------------------------------------
-    # dmin[ia, ib] = min over anchors a' >= a, b' <= b with a' <= b'
+    # pixel constraint: a >= x + alpha, b <= y - alpha, and a <= b; both
+    # indices step by exactly one per pixel, so the closure below takes the
+    # min over every anchor a' >= a, b' <= b
     wmask = np.where(np.triu(np.isfinite(wmat)), wmat, np.inf)   # a <= b
-    dmin = np.minimum.accumulate(wmask[::-1], axis=0)[::-1]
-    dmin = np.minimum.accumulate(dmin, axis=1)
-    # pixel constraint: a >= x + alpha, b <= y - alpha
-    ia_min = np.ceil((centers + alpha) * r - 1e-9).astype(np.intp)
-    ib_max = np.floor((centers - alpha) * r + 1e-9).astype(np.intp)
-    ok = (ia_min >= 0) & (ia_min <= r)
-    okb = (ib_max >= 0) & (ib_max <= r)
+    ia_min = int(np.ceil((centers[0] + alpha) * r - 1e-9)) + np.arange(r)
+    ib_max = int(np.floor((centers[0] - alpha) * r + 1e-9)) + np.arange(r)
+    ok = ia_min <= r            # ia_min >= 1 and ib_max < r for alpha > 0
+    okb = ib_max >= 0
     v_low = np.where(ok[:, None] & okb[None, :],
-                     dmin[np.ix_(np.clip(ia_min, 0, r), np.clip(ib_max, 0, r))], np.inf)
+                     wmask[np.ix_(np.clip(ia_min, 0, r), np.clip(ib_max, 0, r))], np.inf)
     # per-pixel corner windows [x, x+alpha] x [y-alpha, y]
     feas2 = (ys - xs) >= 2 * alpha - GUARD
     corner2 = np.full((r, r), np.inf)

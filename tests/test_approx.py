@@ -294,11 +294,11 @@ def test_blas_gives_a_row_the_same_bits_in_any_product_of_two_or_more_rows(n):
 
 def test_blocked_search_matches_the_dense_reference(monkeypatch):
     search = approx_mod._ul_heuristic_block
-    calls = []                             # (thread, lone mover, rounds per start)
+    calls = []                 # (thread, lone mover, rounds per start, points)
 
     def spy(v, alpha, xs, ys):
         _, lone_mover, rounds = per_point_ul_heuristic(v, alpha, xs, ys)
-        calls.append((threading.get_ident(), lone_mover, tuple(rounds)))
+        calls.append((threading.get_ident(), lone_mover, tuple(rounds), xs))
         return search(v, alpha, xs, ys)
 
     monkeypatch.setattr(approx_mod, "_ul_heuristic_block", spy)
@@ -324,9 +324,15 @@ def test_blocked_search_matches_the_dense_reference(monkeypatch):
                 assert np.array_equal(got, want)
                 blocks = len(calls)
                 assert blocks == max(1, min(p_cnt // 2, p_cnt * n // cells))
-                assert len({thread for thread, _, _ in calls}) == min(cpus, blocks)
-                padded |= any(lone for _, lone, _ in calls)
-                staggered |= len({rounds for _, _, rounds in calls}) > 1
+                # each point (so each block) is searched exactly once; an idle
+                # pool thread may take the next share, so fewer threads can run
+                searched = np.concatenate([pts for _, _, _, pts in calls])
+                assert np.array_equal(np.sort(searched), np.sort(xs))
+                threads = {thread for thread, _, _, _ in calls}
+                assert threading.get_ident() in threads
+                assert len(threads) <= min(cpus, blocks)
+                padded |= any(lone for _, lone, _, _ in calls)
+                staggered |= len({rounds for _, _, rounds, _ in calls}) > 1
     assert padded            # some block kept a frozen row beside a lone mover
     assert staggered         # some block finished a start while another went on
 

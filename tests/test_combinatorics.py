@@ -137,30 +137,52 @@ def test_split_random_instances():
 
 
 def test_split_with_a_wrapped_remainder(monkeypatch):
-    # no test input reaches the wrapped window on its own, so refuse every
-    # non-wrapping window and check the split still meets its contract
+    # Levy's universal chord theorem: a window of measure delta need not
+    # exist when delta does not divide |P|.  u is F' in cell averages, with
+    # F(x) = sin^2(pi x / delta) - x sin^2(pi / delta) + 0.05 x; every
+    # non-wrapping window has integral F(s + delta) - F(s) = -0.38 against a
+    # bound of 0.025, so only a wrapped window can meet it
     first_window = combinatorics._first_window
-    wraps = []
+    starts = []
 
-    def wrap_only(comp, delta, bound, wrap):
-        if not wrap:
-            return None
+    def spy(comp, delta, bound, wrap):
         start = first_window(comp, delta, bound, wrap)
-        wraps.append(start)
+        starts.append((wrap, start))
         return start
 
-    monkeypatch.setattr(combinatorics, "_first_window", wrap_only)
-    u = np.ones(1)
+    monkeypatch.setattr(combinatorics, "_first_window", spy)
+    q, delta = 400, 0.4
+    x = np.arange(q + 1) / q
+    u = q * np.diff(np.sin(np.pi * x / delta) ** 2
+                    - x * np.sin(np.pi / delta) ** 2 + 0.05 * x)
     p = IntervalSet(((0.0, 1.0),))
-    res = split_with_small_remainder(u, p, 0.3)
-    assert len(wraps) == 1 and wraps[0] is not None
-    check_split(res, u, p, 0.3)
-    want = [(0.1, 0.4), (0.4, 0.7), (0.7, 1.0)]
+    res = split_with_small_remainder(u, p, 0.6)
+    assert [wrap for wrap, _ in starts] == [False, True]
+    assert starts[0][1] is None and starts[1][1] == pytest.approx(0.94463, abs=1e-5)
+    check_split(res, u, p, 0.6)
+    assert res.target_bound == pytest.approx(0.025, abs=1e-12)
+    assert abs(res.remainder_integral) <= res.target_bound
+    assert len(res.remainder.intervals) == 2           # [s, 1] and [0, s + delta - 1]
+    assert res.remainder.intervals[1][1] == 1.0
+    assert len(res.parts[0].intervals) == 1             # the rest, unwrapped
+    assert res.parts[0].intervals[0] == pytest.approx(
+        (res.remainder.intervals[0][1], res.remainder.intervals[1][0]), abs=1e-12)
+
+
+def test_split_tolerates_rounding_at_large_scales():
+    # every window of 1000 * ones over [0, 1] with beta = 1/3 has the integral
+    # 1000 delta, which rounds just above the bound 1000 / 3; the slack, which
+    # scales with the mass of u, accepts the even chop
+    u = 1000.0 * np.ones(1)
+    p = IntervalSet(((0.0, 1.0),))
+    res = split_with_small_remainder(u, p, 1 / 3)
+    check_split(res, u, p, 1 / 3)
+    want = [(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)]
     for part, (lo, hi) in zip(res.parts, want):
         assert len(part.intervals) == 1
-        assert part.intervals[0] == pytest.approx((lo, hi), abs=1e-9)
-    assert len(res.remainder.intervals) == 1
-    assert res.remainder.intervals[0] == pytest.approx((0.0, 0.1), abs=1e-9)
+        assert part.intervals[0] == pytest.approx((lo, hi), abs=1e-12)
+    assert res.remainder_integral > res.target_bound          # by rounding only
+    assert res.remainder_integral <= res.target_bound * (1 + 1e-15)
 
 
 def test_split_determinism():

@@ -9,14 +9,17 @@ import pytest
 
 from robinson_lab import (
     StepGraphon,
+    closed_form_robinson_ae,
     compute_regions,
     cumulative_envelope,
+    cut_norm_exact,
     estimate_deviation,
     is_robinson,
     load_graphon,
     plant_violation,
     robinson_approx,
     save_graphon,
+    smooth_exp,
     toeplitz_decay,
 )
 from robinson_lab import cli
@@ -191,6 +194,51 @@ def test_cli_cutnorm_sign_example(tmp_path, capsys):
     assert rep["witnessS"] == [0] and rep["witnessT"] == [0]
 
 
+def signed_input(tmp_path, n, seed):
+    m = np.random.Generator(np.random.Philox(seed)).uniform(-1.0, 1.0, (n, n))
+    w = StepGraphon(0.5 * (m + m.T))
+    path = tmp_path / "signed.txt"
+    save_graphon(w, path)
+    return w, path
+
+
+def test_cli_cutnorm_exact_mode(tmp_path, capsys):
+    w, path = signed_input(tmp_path, 6, 61)
+    code, rep = run_json(["cutnorm", "--in", str(path), "--mode", "exact"], capsys)
+    want = cut_norm_exact(w)
+    assert code == 0
+    assert rep["value"] == want.value
+    assert rep["exact"] is True and rep["mode"] == "exact"
+    assert rep["witnessS"] == list(want.witness_s.indices)
+    assert rep["witnessT"] == list(want.witness_t.indices)
+
+
+def test_cli_cutnorm_localsearch_mode(tmp_path, capsys):
+    w, path = signed_input(tmp_path, 12, 62)
+    code, rep = run_json(["cutnorm", "--in", str(path), "--mode", "localsearch",
+                          "--config", '{"restarts": 3, "seed": 5}'], capsys)
+    assert code == 0
+    assert rep["exact"] is False and rep["mode"] == "localsearch"
+    assert 0.0 < rep["value"] <= cut_norm_exact(w).value
+
+
+def test_cli_approx_closed_form_mode(tmp_path, capsys):
+    path, out = tmp_path / "smooth.txt", tmp_path / "approx.txt"
+    w = smooth_exp(6)
+    save_graphon(w, path)
+    code, rep = run_json(["approx", "--in", str(path), "--alpha", "0.25",
+                          "--mode", "closed-form", "--out-matrix", str(out)], capsys)
+    want = closed_form_robinson_ae(w, 0.25)
+    assert code == 0
+    assert rep["mode"] == "closed-form" and rep["gridN"] == want.grid_n
+    assert rep["robinsonValidated"] is want.robinson_validated
+    assert np.array_equal(load_graphon(out).values, want.values)
+    save_graphon(StepGraphon(N3), path)                   # not Robinson
+    assert cli.main(["approx", "--in", str(path), "--alpha", "0.25",
+                     "--mode", "closed-form"]) == 1
+    assert "closed form needs a Robinson input" in capsys.readouterr().err
+
+
 def test_cli_approx_block_example(tmp_path, capsys):
     path, out = tmp_path / "ones.txt", tmp_path / "approx.txt"
     save_graphon(StepGraphon(np.ones((8, 8))), path)
@@ -334,6 +382,12 @@ def test_cli_restarts_must_not_be_negative(tmp_path, capsys):
     code, rep = run_json(["lambda", "--in", str(path), "--config", '{"restarts": 0}'],
                          capsys)
     assert code == 0 and rep["mode"] == "heuristic"      # the swept starts remain
+    # also where the exact deviation runs, which never looks at restarts
+    small = tmp_path / "small.txt"
+    save_graphon(toeplitz_decay(8, seed=3), small)
+    for command in ("lambda", "recover"):
+        assert cli.main([command, "--in", str(small), "--config", '{"restarts": -3}']) == 1
+        assert "restarts must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):
