@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
+import threading
 
 import numpy as np
 
@@ -173,10 +174,7 @@ def _t_starts(v, alpha, b_caps):
     yield _knap_fill_batch(asc, b_caps, alpha, minimize=True)             # hug y
     yield _knap_fill_batch(asc, b_caps, alpha, minimize=False)            # hug 1
     uni = np.maximum(b_caps, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tot = uni.sum(axis=1, keepdims=True)
-        uni *= np.where(tot > 0, alpha / tot, 0.0)
-    yield uni                                                             # spread
+    yield uni * (alpha / uni.sum(axis=1, keepdims=True))                  # spread
     yield _knap_fill_batch(v.mean(axis=0), b_caps, alpha)                 # heavy cols
     mid = np.abs(asc - (asc.size - 1) / 2.0)
     yield _knap_fill_batch(mid, b_caps, alpha, minimize=True)             # middle
@@ -193,8 +191,8 @@ def _usable_cpus():
 def _ul_heuristic_block(v, alpha, xs, ys):
     """Alternating maximisation of the window average at the query points
     (xs[k], ys[k]), all points in one set of array operations.  Returns the
-    best value per point (already divided by alpha^2), 0 where a side lacks
-    room.
+    best value per point, already divided by alpha^2.  Every point must have
+    room on both sides (see :func:`ul_sup`); both callers check that.
 
     Each point runs the five starts one after another.  Within a start it
     alternates knapsack responses and keeps a running maximum of its value
@@ -209,15 +207,11 @@ def _ul_heuristic_block(v, alpha, xs, ys):
 
     Points never interact, so a point's value is that of searching it alone
     whenever BLAS gives each row of a product of two or more rows the same
-    bits in every such product.  With OpenBLAS on AVX-512 that holds at
-    every row count for n <= 16 and for n a multiple of 8, but not for every
-    n (see README).
+    bits in every such product, which does not hold at every n (see README).
     """
     n = v.shape[0]
-    a_caps = _availability(xs, n, "left")
-    b_caps = _availability(ys, n, "right")
-    room = (a_caps.sum(axis=1) >= alpha - GUARD) & (b_caps.sum(axis=1) >= alpha - GUARD)
-    a_caps, b_caps = _signed_caps(a_caps[room]), _signed_caps(b_caps[room])
+    a_caps = _signed_caps(_availability(xs, n, "left"))
+    b_caps = _signed_caps(_availability(ys, n, "right"))
     kk = int(alpha * n) + 3
     best = np.full(len(a_caps), -np.inf)
     for t in _t_starts(v, alpha, b_caps):
@@ -235,39 +229,43 @@ def _ul_heuristic_block(v, alpha, xs, ys):
             t = t_new
             if not moving.all():
                 rows, a, b, t = rows[moving], a[moving], b[moving], t[moving]
-    out = np.zeros(len(room))
-    out[room] = best / (alpha * alpha)
-    return out
+    return best / (alpha * alpha)
 
 
 def _ul_heuristic_many(v, alpha, xs, ys):
     """:func:`_ul_heuristic_block` over many query points, in blocks of about
     ``BLOCK_CELLS`` cells (P n cells in all for P points, at least two points
-    a block) on up to one thread per usable CPU, the caller's thread among
-    them.  Each block runs to the end on one thread and writes its own slice
-    of the result, so the values depend on the block layout only through
-    BLAS (see :func:`_ul_heuristic_block`), never on the CPU count."""
+    a block).  Up to one thread per usable CPU, the caller's among them, takes
+    the next block whenever it is free and runs it to the end into its own
+    slice of the result, so the values depend on the block layout only
+    through BLAS (see :func:`_ul_heuristic_block`), never on the threads."""
     p_cnt, n = len(xs), v.shape[0]
     n_blk = max(1, min(p_cnt // 2, p_cnt * n // BLOCK_CELLS))
     edges = np.arange(n_blk + 1) * p_cnt // n_blk
     workers = min(_usable_cpus(), n_blk)
     out = np.empty(p_cnt)
+    blocks = zip(edges[:-1], edges[1:])
+    lock = threading.Lock()
 
-    def share(k):
-        """Searches every workers-th block from block k."""
-        for lo, hi in zip(edges[k:-1:workers], edges[k + 1::workers]):
+    def drain():
+        """Searches the next block until none is left."""
+        while True:
+            with lock:
+                lo, hi = next(blocks, (None, None))
+            if lo is None:
+                return
             out[lo:hi] = _ul_heuristic_block(v, alpha, xs[lo:hi], ys[lo:hi])
 
     if workers == 1:
-        share(0)
+        drain()
         return out
     # imported here: it brings in logging, a few ms at the start of every
     # process, also of those that never search more than one block
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers - 1) as pool:
-        shares = [pool.submit(share, k) for k in range(1, workers)]
-        share(0)
-        for done in shares:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for done in helpers:
             done.result()
     return out
 
@@ -276,25 +274,28 @@ def _extreme_side_vectors(caps, alpha, budget=EXTREME_POINT_BUDGET):
     """All extreme points of {0 <= s <= caps, sum s = alpha} as rows.
 
     Extremes take full caps on a subset F plus at most one fractional cell.
-    |F| is bounded by how many of the smallest caps fit under alpha, so the
-    enumeration walks combinations up to that size instead of all subsets.
-    Raises when the extreme-point count would exceed ``budget`` (use the
-    heuristic mode then).
+    |F| is at most how many of the smallest caps fit under alpha and at
+    least one less than how many of the largest reach it; only those sizes
+    are walked.  The caps must hold alpha (:func:`ul_sup` checks room), so
+    all of them are taken even where their rounded sum falls short.  Raises
+    when the extreme-point count would exceed ``budget`` (use the heuristic).
     """
     active = np.flatnonzero(caps > GUARD)
     m = len(active)
     a = caps[active]
-    kmax = int(np.searchsorted(np.cumsum(np.sort(a)), alpha + GUARD, side="right"))
+    asc = np.sort(a)
+    kmin = int(np.searchsorted(np.cumsum(asc[::-1]), alpha - GUARD))
+    kmax = int(np.searchsorted(np.cumsum(asc), alpha + GUARD, side="right"))
     rows = []
     count = 0
-    for k in range(min(kmax, m) + 1):
+    for k in range(kmin, min(kmax, m) + 1):
         for comb in itertools.combinations(range(m), k):
             idx = list(comb)
             full = float(a[idx].sum()) if k else 0.0
             rem = alpha - full
             if rem < -GUARD:
                 continue
-            if rem <= GUARD:
+            if rem <= GUARD or k == m:
                 vec = np.zeros(m)
                 vec[idx] = a[idx]
                 rows.append(vec[None, :])
@@ -324,7 +325,8 @@ def ul_sup(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
 
     sup of the average of w over S x T with S in [0,x], T in [y,1],
     |S| = |T| = alpha; 0 when either side lacks room (sup over an empty
-    family), even for signed w.
+    family), even for signed w.  Room is decided on the coordinates, as in
+    :func:`_corner_points`: a sum of caps can round below a side's measure.
 
     exact mode enumerates extreme points of the smaller side and answers the
     other side by fractional knapsack (valid because the optimum of a
@@ -336,21 +338,19 @@ def ul_sup(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
         raise ValueError("need 0 <= x <= y <= 1")
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
-    n = w.n
-    v = w.values
-    a = _availability([x], n, "left")[0]
-    b = _availability([y], n, "right")[0]
-    if a.sum() < alpha - GUARD or b.sum() < alpha - GUARD:
+    if mode not in ("exact", "heuristic"):
+        raise ValueError("mode must be exact or heuristic")
+    if not (x >= alpha - GUARD and 1.0 - y >= alpha - GUARD):
         return 0.0
     if mode == "heuristic":
-        return float(_ul_heuristic_block(v, alpha, np.array([x]), np.array([y]))[0])
-    if mode != "exact":
-        raise ValueError("mode must be exact or heuristic")
+        return float(_ul_heuristic_block(w.values, alpha, np.array([x]), np.array([y]))[0])
+    a = _availability([x], w.n, "left")[0]
+    b = _availability([y], w.n, "right")[0]
     # enumerate the sparser side; the graphon is symmetric so swapping sides
     # just transposes the objective
     na, nb = int(np.count_nonzero(a > GUARD)), int(np.count_nonzero(b > GUARD))
     enum, other = (a, b) if na <= nb else (b, a)
-    scores = _extreme_side_vectors(enum, alpha) @ v
+    scores = _extreme_side_vectors(enum, alpha) @ w.values
     resp = _knap_fill_batch(scores, np.broadcast_to(other, scores.shape), alpha)
     vals = np.einsum("ij,ij->i", scores, resp)
     return float(vals.max() / (alpha * alpha)) if len(vals) else 0.0

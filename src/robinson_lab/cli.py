@@ -65,6 +65,8 @@ def _load_config(blob):
     for key in ("refinement", "restarts", "seed", "cutnormCap"):
         if type(cfg[key]) is not int and not (type(cfg[key]) is float and cfg[key].is_integer()):
             raise _Error("config %s must be an integer" % key)
+    if cfg["restarts"] < 0:
+        raise _Error("restarts must be >= 0")
     if cfg["p"] == "inf":
         cfg["p"] = math.inf
     elif type(cfg["p"]) not in (int, float):

@@ -43,9 +43,6 @@ class StepGraphon:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def cell_width(self) -> float:
-        return 1.0 / self.n
-
     # plain arithmetic on same-resolution graphons; handy in tests and the
     # recovery pipeline (w - approximation, scaling, ...)
     def __sub__(self, other):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import sys
 import threading
 
 import numpy as np
@@ -16,6 +17,7 @@ from robinson_lab import (
     monotone_envelope,
     quadratic_sum,
     robinson_approx,
+    smooth_exp,
     toeplitz_decay,
     ul_sup,
 )
@@ -124,10 +126,9 @@ def per_point_ul_heuristic(v, alpha, xs, ys, iters=40):
     round saw exactly one of two or more running rows change its T side
     (where the search pads its active set), and the rounds each start ran."""
     n = v.shape[0]
-    a_caps = _availability(xs, n, "left")
-    b_caps = _availability(ys, n, "right")
-    room = (a_caps.sum(axis=1) >= alpha - GUARD) & (b_caps.sum(axis=1) >= alpha - GUARD)
-    a_caps, b_caps = a_caps[room], b_caps[room]
+    room = (xs >= alpha - GUARD) & (1.0 - ys >= alpha - GUARD)
+    a_caps = _availability(xs[room], n, "left")
+    b_caps = _availability(ys[room], n, "right")
     best = np.full(len(a_caps), -np.inf)
     lone_mover, rounds = False, []
     for t in dense_starts(v, alpha, b_caps):
@@ -183,6 +184,17 @@ def test_ul_sup_constant_and_empty_family():
     assert ul_sup(neg, 0.5, 0.95, 0.1) == 0.0
 
 
+def test_ul_sup_decides_room_on_the_coordinates():
+    # at 1 - y = alpha = 0.4 and n = 160 the 64 caps of [y, 1] add up to
+    # 0.3999999999999988, below alpha - GUARD: a sum of caps sees no room
+    w = smooth_exp(160)
+    assert _availability([0.6], 160, "right")[0].sum() < 0.4 - GUARD
+    for x in (0.4, 0.45):       # from 0.45 on, exact mode enumerates that side
+        heur = ul_sup(w, x, 0.6, 0.4, mode="heuristic")
+        assert heur > 0.0
+        assert ul_sup(w, x, 0.6, 0.4, mode="exact") >= heur - LOWER_TOL
+
+
 def test_ul_sup_matches_subset_oracle_on_aligned_queries():
     rng = np.random.Generator(np.random.Philox(101))
     for _ in range(25):
@@ -208,6 +220,23 @@ def test_ul_sup_heuristic_is_a_lower_bound():
         exact = ul_sup(w, x, y, alpha, mode="exact")
         heur = ul_sup(w, x, y, alpha, mode="heuristic")
         assert heur <= exact + LOWER_TOL
+
+
+def test_exact_mode_walks_only_block_sizes_that_reach_alpha(monkeypatch):
+    # 20 open cells a side and alpha = 0.45 = 18 cells: the subsets of fewer
+    # than 17 full cells cannot reach alpha and are not walked
+    combinations, sizes = itertools.combinations, []
+
+    def spy(pool, k):
+        sizes.append(k)
+        return combinations(pool, k)
+
+    w = toeplitz_decay(40, seed=1)
+    monkeypatch.setattr(approx_mod.itertools, "combinations", spy)
+    exact = ul_sup(w, 0.5, 0.5, 0.45, mode="exact")
+    monkeypatch.undo()
+    assert sizes == [17, 18]
+    assert exact >= ul_sup(w, 0.5, 0.5, 0.45, mode="heuristic") - LOWER_TOL
 
 
 def test_ul_sup_monotone_in_the_available_room():
@@ -240,6 +269,8 @@ def test_ul_sup_validation():
         ul_sup(w, 0.3, 0.7, 1.0)
     with pytest.raises(ValueError):
         ul_sup(w, 0.3, 0.7, 0.1, mode="bogus")
+    with pytest.raises(ValueError):        # also where the family is empty
+        ul_sup(w, 0.05, 0.5, 0.1, mode="bogus")
 
 
 def test_heuristic_loop_matches_the_dense_reference():
@@ -295,11 +326,20 @@ def test_blas_gives_a_row_the_same_bits_in_any_product_of_two_or_more_rows(n):
 def test_blocked_search_matches_the_dense_reference(monkeypatch):
     search = approx_mod._ul_heuristic_block
     calls = []                 # (thread, lone mover, rounds per start, points)
+    running, most = [0], [0]   # blocks running now, and the most at once
+    lock = threading.Lock()
 
     def spy(v, alpha, xs, ys):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
         _, lone_mover, rounds = per_point_ul_heuristic(v, alpha, xs, ys)
         calls.append((threading.get_ident(), lone_mover, tuple(rounds), xs))
-        return search(v, alpha, xs, ys)
+        try:
+            return search(v, alpha, xs, ys)
+        finally:
+            with lock:
+                running[0] -= 1
 
     monkeypatch.setattr(approx_mod, "_ul_heuristic_block", spy)
     rng = np.random.Generator(np.random.Philox(4243))
@@ -320,21 +360,56 @@ def test_blocked_search_matches_the_dense_reference(monkeypatch):
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(approx_mod, "_usable_cpus", lambda cpus=cpus: cpus)
                 calls.clear()
+                most[0] = 0
                 got = _ul_heuristic_many(v, alpha, xs, ys)
                 assert np.array_equal(got, want)
                 blocks = len(calls)
                 assert blocks == max(1, min(p_cnt // 2, p_cnt * n // cells))
-                # each point (so each block) is searched exactly once; an idle
-                # pool thread may take the next share, so fewer threads can run
+                # each point (so each block) is searched exactly once, by
+                # whichever thread was free: that need not be every thread
                 searched = np.concatenate([pts for _, _, _, pts in calls])
                 assert np.array_equal(np.sort(searched), np.sort(xs))
                 threads = {thread for thread, _, _, _ in calls}
-                assert threading.get_ident() in threads
                 assert len(threads) <= min(cpus, blocks)
+                assert most[0] <= min(cpus, blocks)
                 padded |= any(lone for _, lone, _, _ in calls)
                 staggered |= len({rounds for _, _, rounds, _ in calls}) > 1
     assert padded            # some block kept a frozen row beside a lone mover
     assert staggered         # some block finished a start while another went on
+
+
+def test_each_block_is_taken_once_under_thread_contention(monkeypatch):
+    # more threads than usable CPUs and a short switch interval, so threads
+    # often meet at the shared block iterator; a block handed out twice or
+    # lost shows in the call count or the searched points
+    threads = approx_mod._usable_cpus() + 2
+    search = approx_mod._ul_heuristic_block
+    taken = []
+
+    def spy(v, alpha, xs, ys):
+        taken.append(xs)
+        return search(v, alpha, xs, ys)
+
+    rng = np.random.Generator(np.random.Philox(4244))
+    n, alpha = 8, 0.2
+    v = sym(rng, n, -1, 2).values
+    xs = rng.uniform(alpha, 1.0, 400)
+    ys = np.minimum(xs + rng.uniform(0.0, 1.0, 400), 1.0 - alpha)
+    want, _, _ = per_point_ul_heuristic(v, alpha, xs, ys)
+    monkeypatch.setattr(approx_mod, "_ul_heuristic_block", spy)
+    monkeypatch.setattr(approx_mod, "BLOCK_CELLS", 2 * n)
+    monkeypatch.setattr(approx_mod, "_usable_cpus", lambda: threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            taken.clear()
+            got = _ul_heuristic_many(v, alpha, xs, ys)
+            assert np.array_equal(got, want)
+            assert len(taken) == 200
+            assert np.array_equal(np.sort(np.concatenate(taken)), np.sort(xs))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_window_search_leaves_no_thread_behind(monkeypatch):
@@ -350,7 +425,7 @@ def test_window_search_leaves_no_thread_behind(monkeypatch):
     monkeypatch.setattr(approx_mod, "BLOCK_CELLS", 16 * 40)
     before = threading.active_count()
     robinson_approx(toeplitz_decay(16, seed=5), 0.2, grid_n=48, mode="heuristic")
-    assert len(threads) == 2                 # the blocks ran on two threads
+    assert len(threads) <= 2                 # the blocks ran on at most two threads
     assert threading.active_count() == before
 
 
@@ -668,6 +743,12 @@ def test_closed_form_agrees_with_the_envelope_pipeline():
             a = robinson_approx(w, alpha, mode="exact").values
             b = closed_form_robinson_ae(w, alpha).values
             assert np.max(np.abs(a - b)) <= AGREE_TOL
+    # n = 160, alpha = 0.4: cells at 1 - y = alpha have room (see
+    # test_ul_sup_decides_room_on_the_coordinates)
+    w = smooth_exp(160)
+    a = robinson_approx(w, 0.4).values
+    b = closed_form_robinson_ae(w, 0.4).values
+    assert np.max(np.abs(a - b)) <= AGREE_TOL
 
 
 def test_closed_form_rejects_non_robinson_input():

@@ -388,6 +388,10 @@ def test_cli_restarts_must_not_be_negative(tmp_path, capsys):
     for command in ("lambda", "recover"):
         assert cli.main([command, "--in", str(small), "--config", '{"restarts": -3}']) == 1
         assert "restarts must be >= 0" in capsys.readouterr().err
+    # and where no solver looks at restarts: exact cut-norm enumeration
+    assert cli.main(["cutnorm", "--mode", "exact", "--in", str(path),
+                     "--config", '{"restarts": -3}']) == 1
+    assert "restarts must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):
