@@ -262,6 +262,8 @@ def _ul_heuristic_many(v, alpha, xs, ys):
     # imported here: it brings in logging, a few ms at the start of every
     # process, also of those that never search more than one block
     from concurrent.futures import ThreadPoolExecutor
+    # the caller's thread searches too: a pool with the caller only waiting
+    # gave the same values at a higher peak RSS (README design notes)
     with ThreadPoolExecutor(workers - 1) as pool:
         helpers = [pool.submit(drain) for _ in range(workers - 1)]
         drain()
@@ -270,7 +272,7 @@ def _ul_heuristic_many(v, alpha, xs, ys):
     return out
 
 
-def _extreme_side_vectors(caps, alpha, budget=EXTREME_POINT_BUDGET):
+def _extreme_side_vectors(caps, alpha):
     """All extreme points of {0 <= s <= caps, sum s = alpha} as rows.
 
     Extremes take full caps on a subset F plus at most one fractional cell.
@@ -278,7 +280,7 @@ def _extreme_side_vectors(caps, alpha, budget=EXTREME_POINT_BUDGET):
     least one less than how many of the largest reach it; only those sizes
     are walked.  The caps must hold alpha (:func:`ul_sup` checks room), so
     all of them are taken even where their rounded sum falls short.  Raises
-    when the extreme-point count would exceed ``budget`` (use the heuristic).
+    past ``EXTREME_POINT_BUDGET`` extreme points (use the heuristic).
     """
     active = np.flatnonzero(caps > GUARD)
     m = len(active)
@@ -309,9 +311,9 @@ def _extreme_side_vectors(caps, alpha, budget=EXTREME_POINT_BUDGET):
                     block[np.arange(good.size), good] = np.minimum(rem, a[good])
                     rows.append(block)
                     count += int(good.size)
-            if count > budget:
+            if count > EXTREME_POINT_BUDGET:
                 raise ValueError("exact mode: extreme-point budget %d exceeded; "
-                                 "use the heuristic" % budget)
+                                 "use the heuristic" % EXTREME_POINT_BUDGET)
     if not rows:
         return np.zeros((0, len(caps)))
     packed = np.concatenate(rows, axis=0)

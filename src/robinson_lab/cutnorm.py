@@ -135,6 +135,8 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
 def cut_norm(w: StepGraphon, cap: int = DEFAULT_DISPATCH_CAP,
              restarts: int = 50, seed: int = 0) -> CutNormResult:
     """Dispatcher: exact enumeration when n <= min(cap, 24), local search otherwise."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if w.n <= min(cap, EXACT_HARD_CAP):
         return cut_norm_exact(w)
     return cut_norm_local_search(w, restarts=restarts, seed=seed)

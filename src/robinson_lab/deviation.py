@@ -163,33 +163,28 @@ def _alternate(v, t2, s, c, k):
 
     Row i starts from the ascending block ``c[i]`` right of ``t2[i]``, with A
     drawn from ``[0, s[i])`` and B from ``[s[i], t2[i])``.  Each round
-    answers C with (A, B) and then (A, B) with C; a start stops after the
-    first round once its value fails to improve by more than 1e-15, keeping
-    its best triple, and after 30 rounds at the latest.  A start whose C
-    comes back unchanged is at a fixed point: its next round would repeat
-    this one bit for bit and then stop, so it stops now.  Row sums gather
-    ascending index sets and add them in that order, so every start computes
-    what it would compute alone.  Returns the best values and the (A, B, C)
-    index arrays of shape (3, starts, k).
+    answers C with (A, B) and then (A, B) with C.  A start stops when its C
+    comes back unchanged (a fixed point: later rounds repeat it bit for bit)
+    or after 30 rounds, and keeps its last round, the best: every response
+    is a best response, so in exact arithmetic the value never falls.  Row
+    sums gather ascending index sets and add them in that order, so every
+    start computes what it would compute alone.  Returns the values and the
+    (A, B, C) index arrays of shape (3, starts, k).
     """
     cols = np.arange(v.shape[0])
     in_a = cols < s[:, None]
     in_b = ~in_a & (cols < t2[:, None])
     in_c = cols >= t2[:, None]
-    best = np.full(len(c), -np.inf)
+    best = np.empty(len(c))
     trip = np.empty((3, len(c), k), dtype=np.intp)
     live = np.arange(len(c))
-    for rnd in range(30):
+    for _ in range(30):
         f = v[c].sum(axis=1)
         a = _pick(np.where(in_a[live], -f, np.inf), k)
         b = _pick(np.where(in_b[live], f, np.inf), k)
         g = v[a].sum(axis=1) - v[b].sum(axis=1)
         c_new = _pick(np.where(in_c[live], -g, np.inf), k)
-        val = np.take_along_axis(g, c_new, axis=1).sum(axis=1)
-        if rnd:
-            up = val > best[live] + 1e-15
-            live, a, b, c, c_new, val = live[up], a[up], b[up], c[up], c_new[up], val[up]
-        best[live] = val
+        best[live] = np.take_along_axis(g, c_new, axis=1).sum(axis=1)
         trip[:, live] = a, b, c_new
         moved = (c_new != c).any(axis=1)
         live, c = live[moved], c_new[moved]

@@ -239,6 +239,11 @@ def test_exact_mode_walks_only_block_sizes_that_reach_alpha(monkeypatch):
     assert exact >= ul_sup(w, 0.5, 0.5, 0.45, mode="heuristic") - LOWER_TOL
 
 
+def test_exact_mode_stops_at_the_extreme_point_budget():
+    with pytest.raises(ValueError, match="extreme-point budget"):
+        ul_sup(toeplitz_decay(44, seed=1), 0.5, 0.5, 0.25, "exact")
+
+
 def test_ul_sup_monotone_in_the_available_room():
     rng = np.random.Generator(np.random.Philox(103))
     w = sym(rng, 6, 0, 2)
@@ -426,6 +431,33 @@ def test_window_search_leaves_no_thread_behind(monkeypatch):
     before = threading.active_count()
     robinson_approx(toeplitz_decay(16, seed=5), 0.2, grid_n=48, mode="heuristic")
     assert len(threads) <= 2                 # the blocks ran on at most two threads
+    assert threading.active_count() == before
+
+
+def test_a_failing_block_raises_and_leaves_no_thread_behind(monkeypatch):
+    search = approx_mod._ul_heuristic_block
+    calls = []
+    lock = threading.Lock()
+
+    def spy(v, alpha, xs, ys):
+        with lock:
+            calls.append(xs)
+            second = len(calls) == 2
+        if second:
+            raise RuntimeError("block failed")
+        return search(v, alpha, xs, ys)
+
+    rng = np.random.Generator(np.random.Philox(4245))
+    n, alpha = 8, 0.2
+    v = sym(rng, n, -1, 2).values
+    xs = rng.uniform(alpha, 1.0, 40)
+    ys = np.minimum(xs + rng.uniform(0.0, 1.0, 40), 1.0 - alpha)
+    monkeypatch.setattr(approx_mod, "_ul_heuristic_block", spy)
+    monkeypatch.setattr(approx_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(approx_mod, "BLOCK_CELLS", 2 * n)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed"):
+        _ul_heuristic_many(v, alpha, xs, ys)
     assert threading.active_count() == before
 
 

@@ -130,6 +130,8 @@ def test_exact_cap_enforced():
         cut_norm_exact(w)
     with pytest.raises(ValueError):
         cut_norm_local_search(StepGraphon(np.zeros((3, 3))), restarts=0)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        cut_norm(StepGraphon(np.zeros((3, 3))), restarts=0)   # checked before enumerating
 
 
 # cut_norm_exact on sym(Philox(n), n), and at n = 17 also on its reversal,

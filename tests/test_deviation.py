@@ -235,32 +235,21 @@ def test_heuristic_pinned_certificates(n, value, left, right, wit_left, wit_righ
 
 
 # ---------------------------------------------------------------------------
-# lockstep heuristic search against the loop and start list it replaced
+# lockstep heuristic search against a loop with no stop and the start list it replaced
 
 def reference_alternate(v, t2, s, c, k):
-    """The lockstep loop without fixed-point dropping, kept verbatim."""
+    """Alternation with no stop rule: 30 rounds for every start, keeping the last."""
     cols = np.arange(v.shape[0])
     in_a = cols < s[:, None]
     in_b = ~in_a & (cols < t2[:, None])
     in_c = cols >= t2[:, None]
-    best = np.full(len(c), -np.inf)
-    trip = np.empty((3, len(c), k), dtype=np.intp)
-    live = np.arange(len(c))
-    for rnd in range(30):
+    for _ in range(30):
         f = v[c].sum(axis=1)
-        a = _pick(np.where(in_a[live], -f, np.inf), k)
-        b = _pick(np.where(in_b[live], f, np.inf), k)
+        a = _pick(np.where(in_a, -f, np.inf), k)
+        b = _pick(np.where(in_b, f, np.inf), k)
         g = v[a].sum(axis=1) - v[b].sum(axis=1)
-        c = _pick(np.where(in_c[live], -g, np.inf), k)
-        val = np.take_along_axis(g, c, axis=1).sum(axis=1)
-        if rnd:
-            up = val > best[live] + 1e-15
-            live, a, b, c, val = live[up], a[up], b[up], c[up], val[up]
-            if not len(live):
-                break
-        best[live] = val
-        trip[:, live] = a, b, c
-    return best, trip
+        c = _pick(np.where(in_c, -g, np.inf), k)
+    return np.take_along_axis(g, c, axis=1).sum(axis=1), np.stack([a, b, c])
 
 
 def reference_starts(q, restarts, rng):
@@ -375,6 +364,16 @@ def test_lockstep_loop_matches_the_reference(monkeypatch):
                 fewer += sum(rounds_new) < sum(rounds_ref)
                 one_row += any(a == 1 < b for a, b in zip(rounds_new, rounds_ref))
     assert fewer and one_row   # fixed points were dropped, down to one-row batches
+
+
+def test_a_start_stops_only_at_its_fixed_point():
+    # three-valued kernel, many ties: the second round keeps the value 1.0 with
+    # a new C, and only the third, a fixed point, reaches 1.5
+    v = next(itertools.islice(_search_inputs(), 1, None))[0][::-1, ::-1]
+    best, trip = deviation_module._alternate(v, np.array([13]), np.array([12]),
+                                             np.array([[13]]), 1)
+    assert best.tolist() == [1.5]
+    assert trip[:, 0].tolist() == [[4], [12], [20]]
 
 
 def test_heuristic_search_matches_the_reference():

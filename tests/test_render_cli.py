@@ -392,6 +392,12 @@ def test_cli_restarts_must_not_be_negative(tmp_path, capsys):
     assert cli.main(["cutnorm", "--mode", "exact", "--in", str(path),
                      "--config", '{"restarts": -3}']) == 1
     assert "restarts must be >= 0" in capsys.readouterr().err
+    # the cut-norm dispatcher wants a restart on both sides of its cap
+    ten = tmp_path / "ten.txt"
+    save_graphon(StepGraphon(0.5 * (m[:10, :10] + m[:10, :10].T)), ten)
+    for graph in (ten, path):
+        assert cli.main(["cutnorm", "--in", str(graph), "--config", '{"restarts": 0}']) == 1
+        assert "restarts must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):
