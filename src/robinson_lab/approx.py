@@ -22,7 +22,7 @@ import threading
 
 import numpy as np
 
-from .core import StepGraphon, is_robinson
+from .core import StepGraphon, _whole_number, is_robinson
 
 GUARD = 1e-15                  # feasibility slack on measures
 EXTREME_POINT_BUDGET = 200_000  # exact-mode enumeration size limit
@@ -82,6 +82,8 @@ def diagonal_band_integral(w: StepGraphon, halfwidth: float) -> float:
     y - x over one cell, so each diagonal of w is summed once."""
     n = w.n
     h = float(halfwidth)
+    if np.isnan(h):
+        raise ValueError("halfwidth must be a number")
     if h <= 0:
         return 0.0
     c = 1.0 / n
@@ -393,18 +395,6 @@ class RobinsonApprox:
 
     def as_graphon(self) -> StepGraphon:
         return StepGraphon(self.values)
-
-
-def _whole_number(value, least, message):
-    """``value`` as an int; ValueError(message) unless it is a whole number
-    of at least ``least`` (a bool is not)."""
-    try:
-        ok = not isinstance(value, bool) and float(value).is_integer() and value >= least
-    except (TypeError, ValueError):         # e.g. a string from a config file
-        ok = False
-    if not ok:
-        raise ValueError(message)
-    return int(value)
 
 
 def _grid_size(w, grid_n):

@@ -23,7 +23,7 @@ import numpy as np
 from . import core, cutnorm, deviation, synth, recovery, render
 from .approx import closed_form_robinson_ae, robinson_approx
 from .combinatorics import IntervalSet, pigeonhole_shrink, split_with_small_remainder, interval_set_integral
-from .core import CellSet, StepGraphon, is_robinson, load_graphon, lp_norm, save_graphon
+from .core import CellSet, StepGraphon, _rng, _whole_number, is_robinson, load_graphon, lp_norm, save_graphon
 from .regions import compute_regions, largest_grey_square, verify_partition
 
 SCHEMA = "robinson-lab/1"
@@ -62,9 +62,8 @@ def _load_config(blob):
         raise _Error("unknown config keys: %s (allowed: %s)"
                      % (", ".join(unknown), ", ".join(CONFIG_KEYS)))
     cfg.update(data)
-    for key in ("refinement", "restarts", "seed", "cutnormCap"):
-        if type(cfg[key]) is not int and not (type(cfg[key]) is float and cfg[key].is_integer()):
-            raise _Error("config %s must be an integer" % key)
+    for key in ("refinement", "restarts", "seed", "cutnormCap"):   # whole; ranges come later
+        cfg[key] = _whole_number(cfg[key], -math.inf, "config %s must be an integer" % key)
     if cfg["restarts"] < 0:
         raise _Error("restarts must be >= 0")
     if cfg["p"] == "inf":
@@ -98,8 +97,8 @@ def _cells(cs: CellSet):
 
 def _cmd_lambda(args, cfg):
     w = _need_input(args)
-    r = int(args.refinement if args.refinement is not None else cfg["refinement"])
-    restarts, seed = int(cfg["restarts"]), int(cfg["seed"])
+    r = cfg["refinement"] if args.refinement is None else args.refinement
+    restarts, seed = cfg["restarts"], cfg["seed"]
     if args.mode == "exact":
         cert = deviation.deviation_exact(w, refinement=r)
     elif args.mode == "heuristic":
@@ -123,11 +122,10 @@ def _cmd_cutnorm(args, cfg):
     if args.mode == "exact":
         res = cutnorm.cut_norm_exact(w)
     elif args.mode == "localsearch":
-        res = cutnorm.cut_norm_local_search(w, restarts=int(cfg["restarts"]),
-                                            seed=int(cfg["seed"]))
+        res = cutnorm.cut_norm_local_search(w, restarts=cfg["restarts"], seed=cfg["seed"])
     else:
-        res = cutnorm.cut_norm(w, cap=int(cfg["cutnormCap"]),
-                               restarts=int(cfg["restarts"]), seed=int(cfg["seed"]))
+        res = cutnorm.cut_norm(w, cap=cfg["cutnormCap"], restarts=cfg["restarts"],
+                               seed=cfg["seed"])
     report = {
         "schema": SCHEMA, "command": "cutnorm",
         "value": res.value, "exact": res.exact, "mode": res.mode,
@@ -184,9 +182,8 @@ def _cmd_recover(args, cfg):
     w = _need_input(args)
     p = float(args.p) if args.p is not None else cfg["p"]
     grid_n = _grid_n(args, cfg)
-    kw = dict(refinement=int(cfg["refinement"]), restarts=int(cfg["restarts"]),
-              seed=int(cfg["seed"]), grid_n=grid_n,
-              cutnorm_cap=int(cfg["cutnormCap"]))
+    kw = dict(refinement=cfg["refinement"], restarts=cfg["restarts"], seed=cfg["seed"],
+              grid_n=grid_n, cutnorm_cap=cfg["cutnormCap"])
     if args.bounded or math.isinf(p):
         approx, rep = recovery.recover_bounded(w, **kw)
     else:
@@ -235,23 +232,19 @@ def _cmd_synth(args, cfg):
     if args.kind not in _GENERATORS:
         raise _Error("unknown generator %r (have: %s)"
                      % (args.kind, ", ".join(sorted(_GENERATORS))))
-    if args.n < 1:
-        raise _Error("--n must be >= 1")
-    seed = int(cfg["seed"]) if args.seed is None else args.seed
+    seed = cfg["seed"] if args.seed is None else args.seed
     w = _GENERATORS[args.kind](args.n, seed)
     report = {"schema": SCHEMA, "command": "synth", "kind": args.kind,
               "n": args.n, "seed": seed, "noise": None}
     if args.noise:
         w, nrep = synth.add_noise(w, args.noise, args.magnitude, seed=seed,
-                                  cutnorm_cap=int(cfg["cutnormCap"]),
-                                  cutnorm_restarts=int(cfg["restarts"]))
+                                  cutnorm_cap=cfg["cutnormCap"],
+                                  cutnorm_restarts=cfg["restarts"])
         report["noise"] = {
             "kind": nrep.kind, "magnitude": nrep.magnitude, "seed": nrep.seed,
             "cutNorm": nrep.cut_norm, "cutNormExact": nrep.cut_norm_exact,
             "l1": nrep.l1, "l2": nrep.l2, "linf": nrep.linf,
         }
-    if not args.out_matrix:
-        raise _Error("--out-matrix is required for synth")
     save_graphon(w, args.out_matrix)
     report["outMatrix"] = args.out_matrix
     _emit(report, args.out)
@@ -270,7 +263,7 @@ def _selftest_cases():
     """(name, callable) pairs; each callable returns True on pass."""
 
     def cutnorm_oracle():
-        rng = np.random.Generator(np.random.Philox(7))
+        rng = _rng(7)
         w = StepGraphon(0.5 * (lambda m: m + m.T)(rng.uniform(-1, 1, (5, 5))))
         exact = cutnorm.cut_norm_exact(w)
         best = 0.0
@@ -319,7 +312,7 @@ def _selftest_cases():
         return all(abs(q.measure - 0.3) <= 1e-12 for q in res.parts[:-1])
 
     def pigeonhole_density():
-        rng = np.random.Generator(np.random.Philox(11))
+        rng = _rng(11)
         w = StepGraphon(0.5 * (lambda m: m + m.T)(rng.uniform(0, 1, (8, 8))))
         rows = CellSet(8, tuple(range(4)))
         cols = CellSet(8, tuple(range(4, 8)))

@@ -33,7 +33,7 @@ class IntervalSet:
                 raise ValueError("inverted interval (%g, %g)" % (lo, hi))
             if hi - lo <= _EPS:
                 continue
-            if lo < -_EPS or hi > 1 + _EPS:
+            if not (lo >= -_EPS and hi <= 1 + _EPS):
                 raise ValueError("interval (%g, %g) leaves [0, 1]" % (lo, hi))
             if cleaned and lo <= cleaned[-1][1] + _EPS:
                 cleaned[-1] = (cleaned[-1][0], max(cleaned[-1][1], hi))

@@ -14,6 +14,24 @@ SYMMETRY_TOL = 1e-12
 MAX_REFINED_CELLS = 2048
 
 
+def _whole_number(value, least, message):
+    """``value`` as an int; ValueError(message) unless it is a whole number
+    of at least ``least`` (a bool is not)."""
+    try:
+        ok = not isinstance(value, bool) and float(value).is_integer() and value >= least
+    except (TypeError, ValueError):         # e.g. a string from a config file
+        ok = False
+    if not ok:
+        raise ValueError(message)
+    return int(value)
+
+
+def _rng(seed):
+    """The Philox stream of a non-negative whole-number seed."""
+    seed = _whole_number(seed, 0, "seed must be a non-negative integer")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 class StepGraphon:
     """A symmetric step function on [0,1]^2, constant on an n x n grid of
     equal cells.  Cell (i, j) covers [i/n,(i+1)/n) x [j/n,(j+1)/n) and carries
@@ -79,8 +97,8 @@ class CellSet:
     indices: tuple
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("resolution must be positive")
+        object.__setattr__(self, "resolution",
+                           _whole_number(self.resolution, 1, "resolution must be positive"))
         idx = tuple(sorted(int(i) for i in self.indices))
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate cell indices")
@@ -169,7 +187,7 @@ def save_graphon(w: StepGraphon, path) -> None:
 def lp_norm(w: StepGraphon, p) -> float:
     """L^p norm of the step function w over [0,1]^2; p in [1, inf]."""
     p = float(p)
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1, got %g" % p)
     a = np.abs(w.values)
     if np.isinf(p):
@@ -183,9 +201,7 @@ def refine(w: StepGraphon, r: int) -> StepGraphon:
 
     The refined graphon equals w as a function on [0,1]^2.
     """
-    r = int(r)
-    if r < 1:
-        raise ValueError("refinement factor must be >= 1")
+    r = _whole_number(r, 1, "refinement factor must be >= 1")
     if w.n * r > MAX_REFINED_CELLS:
         raise ValueError("refinement to %d cells exceeds cap %d" % (w.n * r, MAX_REFINED_CELLS))
     if r == 1:
@@ -246,7 +262,7 @@ def is_robinson(w: StepGraphon, tol: float = 0.0) -> RobinsonCheck:
     """
     v = w.values
     n = w.n
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be >= 0")
 
     # running minima over the upper triangle: rows left-to-right, columns

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import CellSet, StepGraphon
+from .core import CellSet, StepGraphon, _rng, _whole_number
 
 EXACT_HARD_CAP = 24          # absolute limit on 2^n enumeration
 DEFAULT_DISPATCH_CAP = 16    # dispatcher switches to local search above this
@@ -100,10 +100,9 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
     Both signs of the objective are searched.  Deterministic for a given
     seed, and never exceeds the exact value.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    restarts = _whole_number(restarts, 1, "restarts must be >= 1")
+    rng = _rng(seed)
     n = w.n
-    rng = np.random.Generator(np.random.Philox(seed))
     best = None   # (value_np, branch_order, restart_index, S tuple, T tuple)
     for branch, v in ((0, w.values), (1, -w.values)):
         s = (rng.random((restarts, n)) < 0.5).astype(np.float64)
@@ -135,8 +134,7 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
 def cut_norm(w: StepGraphon, cap: int = DEFAULT_DISPATCH_CAP,
              restarts: int = 50, seed: int = 0) -> CutNormResult:
     """Dispatcher: exact enumeration when n <= min(cap, 24), local search otherwise."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    restarts = _whole_number(restarts, 1, "restarts must be >= 1")
     if w.n <= min(cap, EXACT_HARD_CAP):
         return cut_norm_exact(w)
     return cut_norm_local_search(w, restarts=restarts, seed=seed)

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import CellSet, StepGraphon, refine
+from .core import CellSet, StepGraphon, _rng, _whole_number, refine
 
 EXACT_DEVIATION_CAP = 15   # refined grid size limit for exact enumeration
 _SWEEP_CAP = 24            # heuristic boundary-lattice positions per axis
@@ -133,9 +133,7 @@ def deviation_exact(w: StepGraphon, refinement: int = 1) -> DeviationCertificate
     :param refinement: split every cell this many times per axis before
         enumerating; the grid size n*refinement must stay <= 15
     """
-    r = int(refinement)
-    if r < 1:
-        raise ValueError("refinement must be >= 1")
+    r = _whole_number(refinement, 1, "refinement must be >= 1")
     q = w.n * r
     if q > EXACT_DEVIATION_CAP:
         raise ValueError("refined grid %d exceeds exact cap %d" % (q, EXACT_DEVIATION_CAP))
@@ -265,14 +263,11 @@ def deviation_heuristic(w: StepGraphon, refinement: int = 1,
     start by alternating best responses; plus seeded random restarts.
     Deterministic for a given seed.  Never exceeds the exact value.
     """
-    r = int(refinement)
-    if r < 1:
-        raise ValueError("refinement must be >= 1")
-    if restarts < 0:
-        raise ValueError("restarts must be >= 0")
+    r = _whole_number(refinement, 1, "refinement must be >= 1")
+    restarts = _whole_number(restarts, 0, "restarts must be >= 0")
+    rng = _rng(seed)
     q = w.n * r
     v = refine(w, r).values
-    rng = np.random.Generator(np.random.Philox(seed))
     left = _term_max_heuristic(v, q, restarts, rng)
     right = _term_max_heuristic(v[::-1, ::-1], q, restarts, rng)
     return _assemble(q, r, "heuristic", left, right)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StepGraphon, cutoff, is_robinson, lp_norm, refine
+from .core import StepGraphon, _whole_number, cutoff, is_robinson, lp_norm, refine
 from .cutnorm import DEFAULT_DISPATCH_CAP, cut_norm
 from .deviation import EXACT_DEVIATION_CAP, DeviationCertificate, deviation_exact, deviation_heuristic
 from .approx import RobinsonApprox, _grid_size, robinson_approx
@@ -43,11 +43,8 @@ def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
     kernel the certificate is returned without a new search: both solvers
     are deterministic functions of these inputs.
     """
-    want = int(refinement)
-    if want < 1:
-        raise ValueError("refinement must be >= 1")
-    if restarts < 0:
-        raise ValueError("restarts must be >= 0")
+    want = _whole_number(refinement, 1, "refinement must be >= 1")
+    restarts = _whole_number(restarts, 0, "restarts must be >= 0")
     if known is not None and known[0].values.tobytes() == w.values.tobytes():
         return known[1]
     r_exact = min(want, EXACT_DEVIATION_CAP // w.n)
@@ -64,7 +61,7 @@ def theoretical_bound(p, lam: float, inf_norm: Optional[float] = None) -> float:
     values stay within [0, 1] (inf_norm omitted or <= 1), otherwise the
     sup-norm-scaled variant 44 * inf_norm^(4/5) * lam^(1/5).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("deviation must be >= 0")
     if lam == 0:
         return 0.0
@@ -73,7 +70,7 @@ def theoretical_bound(p, lam: float, inf_norm: Optional[float] = None) -> float:
             return 44.0 * lam ** 0.2
         return 44.0 * inf_norm ** 0.8 * lam ** 0.2
     p = float(p)
-    if p <= 5:
+    if not p > 5:
         raise ValueError("norm index must exceed 5")
     return 78.0 * lam ** ((p - 5.0) / (5.0 * p - 5.0))
 
@@ -108,7 +105,7 @@ def proposition_constants(w: StepGraphon, p, refinement: int = 2,
         em = -(p - 2.0) / (5.0 * p - 2.0)
     alpha = sup ** ea * lam ** el
     m = max(1, math.ceil(lam ** em - 1e-9))
-    return float(alpha), int(m)
+    return float(alpha), m
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .approx import BoxIntegrator, GUARD, _whole_number
-from .core import StepGraphon
+from .approx import BoxIntegrator, GUARD
+from .core import StepGraphon, _whole_number
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,36 +40,29 @@ class RegionMap:
     def _triangle(self):
         return np.triu(np.ones((self.raster, self.raster), dtype=bool))
 
+    def _level(self, k, least, most):
+        """``k`` as an int; ValueError unless it is a whole level in [least, most]."""
+        k = _whole_number(k, least, "k out of range")
+        if k > most:
+            raise ValueError("k out of range")
+        return k
+
     def high_mask(self, k: int) -> np.ndarray:
         """Pixels of the high zone at threshold k/m (diagonal always in)."""
-        if not 0 <= k <= self.total_levels:
-            raise ValueError("k out of range")
-        tri = self._triangle()
-        if k == 0:
-            return tri
-        return tri & (self.k_high >= k)
+        return self._triangle() & (self.k_high >= self._level(k, 0, self.total_levels))
 
     def low_mask(self, k: int) -> np.ndarray:
         """Pixels of the low zone at threshold k/m."""
-        if not 0 <= k <= self.total_levels:
-            raise ValueError("k out of range")
-        tri = self._triangle()
-        if k == 0:
-            return np.zeros_like(tri)
-        if k == self.total_levels:
-            return tri
-        return tri & (self.k_low <= k)
+        return self._triangle() & (self.k_low <= self._level(k, 0, self.total_levels))
 
     def band_mask(self, k: int) -> np.ndarray:
         """The remainder band at level k: high zone k intersect low zone k+1."""
-        if not 0 <= k <= self.total_levels - 1:
-            raise ValueError("k out of range")
+        k = self._level(k, 0, self.total_levels - 1)
         return self.high_mask(k) & self.low_mask(k + 1)
 
     def grey_mask(self, k: int) -> np.ndarray:
         """Pixels in neither zone at threshold k/m (1 <= k <= total-1)."""
-        if not 1 <= k <= self.total_levels - 1:
-            raise ValueError("k out of range")
+        k = self._level(k, 1, self.total_levels - 1)
         return self._triangle() & ~self.high_mask(k) & ~self.low_mask(k)
 
     def label_array(self) -> np.ndarray:
@@ -111,7 +104,7 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
         raise ValueError("alpha must lie in (0, 0.5)")
     m = _whole_number(m, 1, "m must be a positive integer")
     raster = _whole_number(raster, 8, "raster must be an integer >= 8")
-    level_max = max(1, int(math.ceil(float(w.values.max()) - 1e-12)))
+    level_max = max(1, math.ceil(float(w.values.max()) - 1e-12))
     total = m * level_max
 
     box = BoxIntegrator(w)
@@ -174,7 +167,9 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
 def verify_partition(rm: RegionMap) -> bool:
     """Structural audit from the stored masks: every triangle pixel must carry
     exactly one band label or be grey at some level (never both), zones must
-    nest, and the conventions at k = 0 and k = total must hold."""
+    nest, and the level clipping must give the conventions at k = 0 (high
+    zone the whole triangle, low zone empty) and k = total (low zone the
+    whole triangle, diagonal high)."""
     tri = rm._triangle()
     total = rm.total_levels
     band_count = np.zeros(rm.raster * rm.raster, dtype=np.int64).reshape(rm.raster, -1)

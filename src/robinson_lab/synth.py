@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepGraphon, lp_norm
+from .core import StepGraphon, _rng, _whole_number, lp_norm
 from .cutnorm import cut_norm, DEFAULT_DISPATCH_CAP
 from .approx import monotone_envelope
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def toeplitz_decay(n: int, seed: int = 0) -> StepGraphon:
@@ -28,8 +24,7 @@ def toeplitz_decay(n: int, seed: int = 0) -> StepGraphon:
     Values lie in [0, 1] and the ordered shape holds exactly: for i <= j <= k,
     |i-k| >= max(|i-j|, |j-k|) so V[i][k] <= min(V[i][j], V[j][k]).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _whole_number(n, 1, "n must be >= 1")
     rng = _rng(seed)
     h = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
@@ -38,8 +33,7 @@ def toeplitz_decay(n: int, seed: int = 0) -> StepGraphon:
 
 def cumulative_envelope(n: int, seed: int = 0) -> StepGraphon:
     """Monotone envelope of a random symmetric matrix (ordered by construction)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _whole_number(n, 1, "n must be >= 1")
     rng = _rng(seed)
     g = rng.uniform(0.0, 1.0, size=(n, n))
     g = 0.5 * (g + g.T)
@@ -48,9 +42,8 @@ def cumulative_envelope(n: int, seed: int = 0) -> StepGraphon:
 
 def smooth_exp(n: int, rate: float = 3.0) -> StepGraphon:
     """Deterministic exp(-rate * |i-j| / n) kernel; ordered, values in (0, 1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if rate < 0:
+    n = _whole_number(n, 1, "n must be >= 1")
+    if not rate >= 0:
         raise ValueError("rate must be >= 0")
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     return StepGraphon(np.exp(-rate * idx / n))
@@ -63,8 +56,7 @@ def quadratic_sum(n: int) -> StepGraphon:
     is that expression evaluated per axis and summed.  Not ordered: values grow
     away from the origin, not away from the diagonal.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _whole_number(n, 1, "n must be >= 1")
     edges = np.arange(n + 1) / n
     a, b = edges[:-1], edges[1:]
     sq = (a * a + a * b + b * b) / 3.0
@@ -137,7 +129,7 @@ def add_noise(
     a fixed unit pattern, so every reported norm scales linearly with
     ``magnitude``.
     """
-    if magnitude < 0:
+    if not magnitude >= 0:
         raise ValueError("magnitude must be >= 0")
     noise = _noise_matrix(w, kind, magnitude, _rng(seed), spike_density=spike_density)
     noisy = StepGraphon(w.values + noise)
@@ -166,8 +158,7 @@ def sample_random_graph(w: StepGraphon, n_vertices: int, seed: int = 0):
     v = w.values
     if v.min() < -1e-12 or v.max() > 1 + 1e-12:
         raise ValueError("edge probabilities must lie in [0, 1]")
-    if n_vertices < 1:
-        raise ValueError("n_vertices must be >= 1")
+    n_vertices = _whole_number(n_vertices, 1, "n_vertices must be >= 1")
     rng = _rng(seed)
     xs = rng.random(n_vertices)
     cells = np.minimum((xs * w.n).astype(int), w.n - 1)
@@ -197,7 +188,7 @@ def plant_violation(w: StepGraphon, gap: float, seed: int = 0):
     """
     if w.n < 3:
         raise ValueError("need at least 3 cells to plant a violation")
-    if gap <= 0:
+    if not gap > 0:
         raise ValueError("gap must be positive")
     rng = _rng(seed)
     i = int(rng.integers(0, w.n - 2))

@@ -266,3 +266,111 @@ def test_is_robinson_tolerance_semantics():
     assert is_robinson(w, 0.05).robinson
     with pytest.raises(ValueError):
         is_robinson(w, -1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one rule for counts, seeds and levels: an int or an integral float, never a
+# bool, a string or a fraction
+
+
+def _count_cases():
+    import robinson_lab as rl
+
+    small = rl.toeplitz_decay(4, seed=1)
+    planted, _ = rl.plant_violation(rl.toeplitz_decay(6, seed=2), 0.4, seed=3)
+    twenty = random_symmetric(20, np.random.Generator(np.random.Philox(7)))
+    rm = rl.compute_regions(rl.cumulative_envelope(8, seed=5), 3, 0.1, raster=16)
+    return {
+        # name: (call with the value, least whole value accepted)
+        "refine": (lambda v: refine(small, v), 1),
+        "deviation_exact refinement": (lambda v: rl.deviation_exact(small, refinement=v), 1),
+        "deviation_heuristic refinement":
+            (lambda v: rl.deviation_heuristic(planted, refinement=v, restarts=2), 1),
+        "deviation_heuristic restarts": (lambda v: rl.deviation_heuristic(planted, restarts=v), 0),
+        "deviation_heuristic seed":
+            (lambda v: rl.deviation_heuristic(planted, restarts=2, seed=v), 0),
+        "estimate_deviation refinement": (lambda v: rl.estimate_deviation(small, refinement=v), 1),
+        "estimate_deviation restarts": (lambda v: rl.estimate_deviation(small, restarts=v), 0),
+        "cut_norm restarts": (lambda v: rl.cut_norm(twenty, restarts=v), 1),
+        "cut_norm_local_search restarts": (lambda v: rl.cut_norm_local_search(twenty, restarts=v), 1),
+        "cut_norm_local_search seed": (lambda v: rl.cut_norm_local_search(twenty, seed=v), 0),
+        "toeplitz_decay n": (lambda v: rl.toeplitz_decay(v), 1),
+        "toeplitz_decay seed": (lambda v: rl.toeplitz_decay(5, seed=v), 0),
+        "cumulative_envelope n": (lambda v: rl.cumulative_envelope(v), 1),
+        "cumulative_envelope seed": (lambda v: rl.cumulative_envelope(5, seed=v), 0),
+        "smooth_exp n": (lambda v: rl.smooth_exp(v), 1),
+        "quadratic_sum n": (lambda v: rl.quadratic_sum(v), 1),
+        "sample_random_graph n_vertices": (lambda v: rl.sample_random_graph(small, v), 1),
+        "sample_random_graph seed": (lambda v: rl.sample_random_graph(small, 5, seed=v), 0),
+        "add_noise seed": (lambda v: rl.add_noise(small, "uniform_bounded", 0.1, seed=v), 0),
+        "permute_scramble seed": (lambda v: rl.permute_scramble(small, seed=v), 0),
+        "plant_violation seed": (lambda v: rl.plant_violation(small, 0.2, seed=v), 0),
+        "CellSet resolution": (lambda v: rl.CellSet(v, (0, 1)), 1),
+        "high_mask k": (lambda v: rm.high_mask(v), 0),
+        "low_mask k": (lambda v: rm.low_mask(v), 0),
+        "band_mask k": (lambda v: rm.band_mask(v), 0),
+        "grey_mask k": (lambda v: rm.grey_mask(v), 1),
+    }
+
+
+def _same(a, b):
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, StepGraphon):
+        return np.array_equal(a.values, b.values)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("name", sorted(_count_cases()))
+def test_counts_seeds_and_levels_are_whole_numbers(name):
+    call, least = _count_cases()[name]
+    for bad in (2.5, True, "2", least - 1):
+        with pytest.raises(ValueError):
+            call(bad)
+    assert _same(call(2.0), call(2))
+
+
+def test_levels_above_the_top_are_rejected():
+    import robinson_lab as rl
+
+    rm = rl.compute_regions(rl.cumulative_envelope(8, seed=5), 3, 0.1, raster=16)
+    top = rm.total_levels
+    for mask, most in ((rm.high_mask, top), (rm.low_mask, top),
+                       (rm.band_mask, top - 1), (rm.grey_mask, top - 1)):
+        mask(most)
+        with pytest.raises(ValueError, match="k out of range"):
+            mask(most + 1)
+
+
+def _nan_cases():
+    import robinson_lab as rl
+    from robinson_lab.combinatorics import IntervalSet
+
+    w = rl.toeplitz_decay(6, seed=2)
+    planted, _ = rl.plant_violation(w, 0.4, seed=3)
+    assert not is_robinson(planted).robinson
+    nan = math.nan
+    return {
+        "is_robinson tol": (lambda: is_robinson(planted, tol=nan), "tol must be >= 0"),
+        "lp_norm p": (lambda: lp_norm(w, nan), "p must be >= 1"),
+        "theoretical_bound p": (lambda: rl.theoretical_bound(nan, 0.1), "norm index must exceed 5"),
+        "theoretical_bound lam": (lambda: rl.theoretical_bound(6.0, nan), "deviation must be >= 0"),
+        "diagonal_band_integral halfwidth":
+            (lambda: rl.diagonal_band_integral(w, nan), "halfwidth must be a number"),
+        "proposition_constants p": (lambda: rl.proposition_constants(w, nan), "p must be >= 1"),
+        "add_noise magnitude":
+            (lambda: rl.add_noise(w, "sign_flip", nan), "magnitude must be >= 0"),
+        "IntervalSet lower end": (lambda: IntervalSet(((nan, 0.5),)), "leaves"),
+        "IntervalSet upper end": (lambda: IntervalSet(((0.2, nan),)), "leaves"),
+        "plant_violation gap": (lambda: rl.plant_violation(w, nan), "gap must be positive"),
+        "smooth_exp rate": (lambda: rl.smooth_exp(4, rate=nan), "rate must be >= 0"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nan_cases()))
+def test_nan_fails_every_range_check(name):
+    call, message = _nan_cases()[name]
+    with pytest.raises(ValueError, match=message):
+        call()

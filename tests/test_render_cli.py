@@ -158,6 +158,20 @@ def test_cli_synth_with_noise(tmp_path, capsys):
     assert float(np.abs(diff).max()) == noise["linf"]
 
 
+def test_cli_synth_rejects_bad_sizes_and_seeds(tmp_path, capsys):
+    mat = tmp_path / "w.txt"
+    for kind in ("toeplitz", "cumulative", "smooth", "quadratic"):
+        for n in ("0", "-3"):
+            assert cli.main(["synth", "--kind", kind, "--n", n, "--out-matrix", str(mat)]) == 1
+            assert "n must be >= 1" in capsys.readouterr().err
+    assert cli.main(["synth", "--kind", "toeplitz", "--n", "4", "--seed", "-1",
+                     "--out-matrix", str(mat)]) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert cli.main(["synth", "--kind", "toeplitz", "--n", "4"]) == 1
+    assert "--out-matrix" in capsys.readouterr().err
+    assert not mat.exists()
+
+
 def test_cli_lambda_exact_pinned_value(tmp_path, capsys):
     path = tmp_path / "n3.txt"
     save_graphon(StepGraphon(N3), path)
