@@ -282,7 +282,8 @@ def _extreme_side_vectors(caps, alpha):
     least one less than how many of the largest reach it; only those sizes
     are walked.  The caps must hold alpha (:func:`ul_sup` checks room), so
     all of them are taken even where their rounded sum falls short.  Raises
-    past ``EXTREME_POINT_BUDGET`` extreme points (use the heuristic).
+    past ``EXTREME_POINT_BUDGET`` extreme points (use the heuristic).  The
+    subsets of one size are walked as arrays, 4096 at a time, in walk order.
     """
     active = np.flatnonzero(caps > GUARD)
     m = len(active)
@@ -290,34 +291,26 @@ def _extreme_side_vectors(caps, alpha):
     asc = np.sort(a)
     kmin = int(np.searchsorted(np.cumsum(asc[::-1]), alpha - GUARD))
     kmax = int(np.searchsorted(np.cumsum(asc), alpha + GUARD, side="right"))
-    rows = []
+    rows = [np.zeros((0, m))]
     count = 0
     for k in range(kmin, min(kmax, m) + 1):
-        for comb in itertools.combinations(range(m), k):
-            idx = list(comb)
-            full = float(a[idx].sum()) if k else 0.0
-            rem = alpha - full
-            if rem < -GUARD:
-                continue
-            if rem <= GUARD or k == m:
-                vec = np.zeros(m)
-                vec[idx] = a[idx]
-                rows.append(vec[None, :])
-                count += 1
-            else:
-                free = np.setdiff1d(np.arange(m), idx, assume_unique=True)
-                good = free[a[free] >= rem - GUARD]
-                if good.size:
-                    block = np.zeros((good.size, m))
-                    block[:, idx] = a[idx][None, :]
-                    block[np.arange(good.size), good] = np.minimum(rem, a[good])
-                    rows.append(block)
-                    count += int(good.size)
+        walk = itertools.combinations(range(m), k)
+        while chunk := list(itertools.islice(walk, 4096)):
+            idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+            rem = alpha - a[idx].sum(axis=1)
+            taken = (idx[:, :, None] == np.arange(m)).any(axis=1)
+            whole = (rem >= -GUARD) & ((rem <= GUARD) | (k == m))
+            # a subset short of alpha takes one more free cell whose cap covers rem
+            frac = ~taken & (a >= rem[:, None] - GUARD) & ((rem > GUARD) & (k < m))[:, None]
+            per = np.where(whole, 1, frac.sum(axis=1))
+            block = np.where(taken, a, 0.0)[np.repeat(np.arange(len(chunk)), per)]
+            sub, cell = np.nonzero(frac)
+            block[np.flatnonzero(~np.repeat(whole, per)), cell] = np.minimum(rem[sub], a[cell])
+            rows.append(block)
+            count += len(block)
             if count > EXTREME_POINT_BUDGET:
                 raise ValueError("exact mode: extreme-point budget %d exceeded; "
                                  "use the heuristic" % EXTREME_POINT_BUDGET)
-    if not rows:
-        return np.zeros((0, len(caps)))
     packed = np.concatenate(rows, axis=0)
     out = np.zeros((packed.shape[0], len(caps)))
     out[:, active] = packed

@@ -66,6 +66,8 @@ def _load_config(blob):
         cfg[key] = _whole_number(cfg[key], -math.inf, "config %s must be an integer" % key)
     if cfg["restarts"] < 0:
         raise _Error("restarts must be >= 0")
+    if cfg["seed"] < 0:
+        raise _Error("seed must be a non-negative integer")
     if cfg["p"] == "inf":
         cfg["p"] = math.inf
     elif type(cfg["p"]) not in (int, float):

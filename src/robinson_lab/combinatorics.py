@@ -89,43 +89,37 @@ class _Compressed:
     def __init__(self, u, p: IntervalSet):
         u = np.asarray(u, dtype=np.float64)
         q = len(u)
-        seg_real = []      # (real_lo, real_hi, value)
+        real_lo, real_hi = [], []
         for lo, hi in p.intervals:
-            cuts = [lo]
-            first = int(math.floor(lo * q)) + 1
-            while first / q < hi - _EPS:
-                if first / q > lo + _EPS:
-                    cuts.append(first / q)
-                first += 1
-            cuts.append(hi)
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                if b - a > _EPS:
-                    seg_real.append((a, b, u[min(int(math.floor((a + b) / 2 * q)), q - 1)]))
-        self.real_lo = np.array([s[0] for s in seg_real])
-        self.real_hi = np.array([s[1] for s in seg_real])
-        self.val = np.array([s[2] for s in seg_real])
+            edges = np.arange(math.floor(lo * q) + 1, q + 1) / q     # cell edges past lo
+            cuts = np.concatenate([[lo], edges[(edges > lo + _EPS) & (edges < hi - _EPS)], [hi]])
+            keep = cuts[1:] - cuts[:-1] > _EPS
+            real_lo.append(cuts[:-1][keep])
+            real_hi.append(cuts[1:][keep])
+        self.real_lo = np.concatenate(real_lo)
+        self.real_hi = np.concatenate(real_hi)
+        mid = np.floor((self.real_lo + self.real_hi) / 2 * q).astype(np.intp)
+        self.val = u[np.minimum(mid, q - 1)]
         lengths = self.real_hi - self.real_lo
         self.comp_edges = np.concatenate([[0.0], np.cumsum(lengths)])
         self.h_pref = np.concatenate([[0.0], np.cumsum(lengths * self.val)])
         self.length = float(self.comp_edges[-1])
 
     def h(self, s):
-        """Integral of the density over compressed [0, s]."""
-        s = min(max(float(s), 0.0), self.length)
-        i = int(np.searchsorted(self.comp_edges, s, side="right")) - 1
-        i = min(max(i, 0), len(self.val) - 1)
-        return float(self.h_pref[i] + (s - self.comp_edges[i]) * self.val[i])
+        """Integral of the density over compressed [0, s], for each s."""
+        s = np.clip(s, 0.0, self.length)
+        i = np.clip(np.searchsorted(self.comp_edges, s, side="right") - 1, 0, len(self.val) - 1)
+        return self.h_pref[i] + (s - self.comp_edges[i]) * self.val[i]
 
     def to_real(self, c0, c1) -> IntervalSet:
         """Map a compressed range back to real intervals."""
-        pieces = []
-        for i in range(len(self.val)):
-            lo = max(c0, self.comp_edges[i])
-            hi = min(c1, self.comp_edges[i + 1])
-            if hi - lo > _EPS:
-                base = self.comp_edges[i]
-                pieces.append((self.real_lo[i] + (lo - base), self.real_lo[i] + (hi - lo) + (lo - base)))
-        return IntervalSet(tuple(pieces))
+        base = self.comp_edges[:-1]
+        lo = np.maximum(c0, base)
+        hi = np.minimum(c1, self.comp_edges[1:])
+        keep = hi - lo > _EPS
+        real, lo, hi, base = self.real_lo[keep], lo[keep], hi[keep], base[keep]
+        return IntervalSet(tuple(zip((real + (lo - base)).tolist(),
+                                     (real + (hi - lo) + (lo - base)).tolist())))
 
 
 def _first_window(comp: _Compressed, delta, bound, wrap):
@@ -134,40 +128,31 @@ def _first_window(comp: _Compressed, delta, bound, wrap):
 
     Non-wrap windows are [s, s+delta] for s in [0, L-delta]; wrap windows are
     [s, L] + [0, s+delta-L] for s in [L-delta, L].  The window integral is
-    piecewise linear in s, so each linear piece is solved in closed form.
+    linear in s between the grid points below, so each piece is solved in
+    closed form: it qualifies when its right end is within the bound or it
+    crosses +bound or -bound, and the rightmost qualifying piece answers, so
+    that when many windows qualify the remainder sits at the tail of P (the
+    even-chop convention).
     """
     slack = 1e-12 * (1.0 + float(np.abs(np.diff(comp.h_pref)).sum()))
-    ln = comp.length
-    edges = comp.comp_edges
-    if wrap:
-        lo_s, hi_s = ln - delta, ln
-        cands = np.concatenate([edges, edges + (ln - delta)])
-
-        def val(s):
-            return (comp.h(ln) - comp.h(s)) + comp.h(s - (ln - delta))
-    else:
-        lo_s, hi_s = 0.0, ln - delta
-        cands = np.concatenate([edges, edges - delta])
-
-        def val(s):
-            return comp.h(s + delta) - comp.h(s)
-
-    # scan right-to-left so that when many windows qualify the remainder sits
-    # at the tail of P (the even-chop convention)
-    grid = np.unique(np.clip(np.concatenate([cands, [lo_s, hi_s]]), lo_s, hi_s))
-    for s0, s1 in zip(grid[-2::-1], grid[::-1]):
-        i0, i1 = val(s0), val(s1)
-        if abs(i1) <= bound + slack:
-            return float(s1)
-        hits = []
-        for target in (bound, -bound):
-            if (i0 - target) * (i1 - target) < 0:
-                hits.append(s0 + (target - i0) * (s1 - s0) / (i1 - i0))
-        if hits:
-            return float(max(hits))
-    if grid.size and abs(val(grid[0])) <= bound + slack:
-        return float(grid[0])
-    return None
+    ln, edges = comp.length, comp.comp_edges
+    lo_s, hi_s = (ln - delta, ln) if wrap else (0.0, ln - delta)
+    shift = ln - delta if wrap else -delta       # adding -delta subtracts delta exactly
+    grid = np.unique(np.clip(np.concatenate([edges, edges + shift, [lo_s, hi_s]]), lo_s, hi_s))
+    val = ((comp.h(ln) - comp.h(grid)) + comp.h(grid - (ln - delta)) if wrap
+           else comp.h(grid + delta) - comp.h(grid))
+    ends = np.abs(val) <= bound + slack
+    crosses = [(val[:-1] - t) * (val[1:] - t) < 0 for t in (bound, -bound)]
+    ok = ends.copy()
+    ok[1:] |= crosses[0] | crosses[1]
+    if not ok.any():
+        return None
+    j = int(np.flatnonzero(ok)[-1])
+    if ends[j]:
+        return float(grid[j])
+    s0, s1, i0, i1 = grid[j - 1], grid[j], val[j - 1], val[j]
+    return float(max(s0 + (t - i0) * (s1 - s0) / (i1 - i0)
+                     for t, cross in zip((bound, -bound), crosses) if cross[j - 1]))
 
 
 def split_with_small_remainder(u, p: IntervalSet, beta: float) -> SplitResult:
@@ -188,7 +173,7 @@ def split_with_small_remainder(u, p: IntervalSet, beta: float) -> SplitResult:
         raise ValueError("degenerate remainder measure %g" % delta)
 
     comp = _Compressed(u, p)
-    total = comp.h(comp.length)
+    total = float(comp.h(comp.length))
     if total == 0.0:
         raise ValueError("integral of u over P vanishes")
     bound = abs(total) / n_parts

@@ -26,10 +26,19 @@ def _whole_number(value, least, message):
     return int(value)
 
 
+def _seed(seed):
+    """``seed`` as an int; ValueError unless it is a non-negative whole number."""
+    return _whole_number(seed, 0, "seed must be a non-negative integer")
+
+
 def _rng(seed):
     """The Philox stream of a non-negative whole-number seed."""
-    seed = _whole_number(seed, 0, "seed must be a non-negative integer")
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_seed(seed)))
+
+
+def _cell_index(value):
+    """A cell index as an int; ValueError unless it is a whole number."""
+    return _whole_number(value, -np.inf, "cell indices must be integers")
 
 
 class StepGraphon:
@@ -99,7 +108,7 @@ class CellSet:
     def __post_init__(self):
         object.__setattr__(self, "resolution",
                            _whole_number(self.resolution, 1, "resolution must be positive"))
-        idx = tuple(sorted(int(i) for i in self.indices))
+        idx = tuple(sorted(_cell_index(i) for i in self.indices))
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate cell indices")
         if idx and (idx[0] < 0 or idx[-1] >= self.resolution):
@@ -215,24 +224,25 @@ def step_to(w: StepGraphon, blocks: Sequence[Sequence[int]]) -> StepGraphon:
     ``blocks`` lists the cell indices of each part; the parts must tile
     {0..n-1} with equal sizes.  The result is returned at the original
     resolution, every cell of a block pair carrying the block average, so it
-    equals the stepped function on [0,1]^2.
+    equals the stepped function on [0,1]^2.  Each block pair is averaged as
+    one contiguous row of its b*b values, in ascending cell order.
     """
     n = w.n
-    blocks = [np.asarray(sorted(int(i) for i in b), dtype=np.intp) for b in blocks]
+    blocks = [sorted(_cell_index(i) for i in b) for b in blocks]
     if not blocks:
         raise ValueError("no blocks given")
     sizes = {len(b) for b in blocks}
     if len(sizes) != 1:
         raise ValueError("blocks must have equal sizes, got %s" % sorted(sizes))
-    flat = np.concatenate(blocks)
+    flat = np.array(blocks, dtype=np.intp).ravel()
     if len(flat) != n or len(np.unique(flat)) != n or flat.min() != 0 or flat.max() != n - 1:
         raise ValueError("blocks must partition the %d cells" % n)
-    out = np.array(w.values, dtype=np.float64)
-    for bi in blocks:
-        for bj in blocks:
-            sub = w.values[np.ix_(bi, bj)]
-            out[np.ix_(bi, bj)] = sub.mean()
-    return StepGraphon(out)
+    nb, b = len(blocks), n // len(blocks)
+    means = (w.values[np.ix_(flat, flat)].reshape(nb, b, nb, b).transpose(0, 2, 1, 3)
+             .reshape(nb, nb, b * b).mean(axis=2))
+    label = np.empty(n, dtype=np.intp)
+    label[flat] = np.arange(n) // b
+    return StepGraphon(means[np.ix_(label, label)])
 
 
 def cutoff(w: StepGraphon, threshold: float) -> CutoffResult:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import CellSet, StepGraphon, _rng, _whole_number
+from .core import CellSet, StepGraphon, _rng, _seed, _whole_number
 
 EXACT_HARD_CAP = 24          # absolute limit on 2^n enumeration
 DEFAULT_DISPATCH_CAP = 16    # dispatcher switches to local search above this
@@ -134,7 +134,9 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
 def cut_norm(w: StepGraphon, cap: int = DEFAULT_DISPATCH_CAP,
              restarts: int = 50, seed: int = 0) -> CutNormResult:
     """Dispatcher: exact enumeration when n <= min(cap, 24), local search otherwise."""
+    cap = _whole_number(cap, 0, "cap must be a whole number >= 0")
     restarts = _whole_number(restarts, 1, "restarts must be >= 1")
+    seed = _seed(seed)
     if w.n <= min(cap, EXACT_HARD_CAP):
         return cut_norm_exact(w)
     return cut_norm_local_search(w, restarts=restarts, seed=seed)

@@ -64,15 +64,15 @@ def _term_max_exact(v, q):
     B are read off the per-row sums f(i) = sum_{j in C} v[i, j]: A takes the
     k largest f-values left of a split, B the k smallest between split and
     min C.  Scanning every split is exhaustive because any admissible (A, B)
-    is separated by s = min B.
+    is separated by s = min B.  All splits of one (min C, size) run as one
+    (splits, combos, t2) array, masked with -inf (A) or +inf (B) outside each
+    split's side; the first best split, then the first best combo, wins.
     """
     best_key = None      # tracked np value
     best_info = None     # (t2, k, s, combo tuple)
     for t2 in range(2, q):
         tail = q - t2 - 1
-        for k in range(1, t2 // 2 + 1):
-            if k - 1 > tail:
-                break
+        for k in range(1, min(t2 // 2, tail + 1) + 1):
             combos = list(itertools.combinations(range(t2 + 1, q), k - 1))
             carr = np.asarray(combos, dtype=np.intp).reshape(len(combos), k - 1)
             f = np.repeat(v[t2, :t2][None, :], len(combos), axis=0)
@@ -80,16 +80,17 @@ def _term_max_exact(v, q):
                 onehot = np.zeros((len(combos), tail), dtype=np.float64)
                 onehot[np.arange(len(combos))[:, None], carr - (t2 + 1)] = 1.0
                 f += onehot @ v[t2 + 1:, :t2]
-            for s in range(k, t2 - k + 1):
-                top_a = np.sort(np.partition(f[:, :s], s - k, axis=1)[:, s - k:],
-                                axis=1).sum(axis=1)
-                bot_b = np.sort(np.partition(f[:, s:t2], k - 1, axis=1)[:, :k],
-                                axis=1).sum(axis=1)
-                vals = top_a - bot_b
-                m = int(np.argmax(vals))
-                if best_key is None or vals[m] > best_key:
-                    best_key = float(vals[m])
-                    best_info = (t2, k, s, combos[m])
+            splits = np.arange(k, t2 - k + 1)
+            in_a = np.arange(t2) < splits[:, None, None]
+            top_a = np.sort(np.partition(np.where(in_a, f, -np.inf), t2 - k, axis=2)[..., t2 - k:],
+                            axis=2).sum(axis=2)
+            bot_b = np.sort(np.partition(np.where(in_a, np.inf, f), k - 1, axis=2)[..., :k],
+                            axis=2).sum(axis=2)
+            vals = top_a - bot_b
+            i, m = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            if best_key is None or vals[i, m] > best_key:
+                best_key = float(vals[i, m])
+                best_info = (t2, k, int(splits[i]), combos[m])
     if best_info is None:
         return None, None
     t2, k, s, combo = best_info

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StepGraphon, _whole_number, cutoff, is_robinson, lp_norm, refine
+from .core import StepGraphon, _seed, _whole_number, cutoff, is_robinson, lp_norm, refine
 from .cutnorm import DEFAULT_DISPATCH_CAP, cut_norm
 from .deviation import EXACT_DEVIATION_CAP, DeviationCertificate, deviation_exact, deviation_heuristic
 from .approx import RobinsonApprox, _grid_size, robinson_approx
@@ -45,6 +45,7 @@ def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
     """
     want = _whole_number(refinement, 1, "refinement must be >= 1")
     restarts = _whole_number(restarts, 0, "restarts must be >= 0")
+    seed = _seed(seed)
     if known is not None and known[0].values.tobytes() == w.values.tobytes():
         return known[1]
     r_exact = min(want, EXACT_DEVIATION_CAP // w.n)
@@ -63,6 +64,8 @@ def theoretical_bound(p, lam: float, inf_norm: Optional[float] = None) -> float:
     """
     if not lam >= 0:
         raise ValueError("deviation must be >= 0")
+    if inf_norm is not None and not inf_norm >= 0:
+        raise ValueError("inf_norm must be >= 0")
     if lam == 0:
         return 0.0
     if math.isinf(p):

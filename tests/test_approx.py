@@ -23,6 +23,7 @@ from robinson_lab import (
 )
 import robinson_lab.approx as approx_mod
 from robinson_lab.approx import (
+    EXTREME_POINT_BUDGET,
     _availability,
     _knap_fill_batch,
     _knap_fill_top,
@@ -242,6 +243,77 @@ def test_exact_mode_walks_only_block_sizes_that_reach_alpha(monkeypatch):
 def test_exact_mode_stops_at_the_extreme_point_budget():
     with pytest.raises(ValueError, match="extreme-point budget"):
         ul_sup(toeplitz_decay(44, seed=1), 0.5, 0.5, 0.25, "exact")
+
+
+def reference_extreme_side_vectors(caps, alpha):
+    """The per-subset loop form of _extreme_side_vectors."""
+    active = np.flatnonzero(caps > GUARD)
+    m = len(active)
+    a = caps[active]
+    asc = np.sort(a)
+    kmin = int(np.searchsorted(np.cumsum(asc[::-1]), alpha - GUARD))
+    kmax = int(np.searchsorted(np.cumsum(asc), alpha + GUARD, side="right"))
+    rows = []
+    count = 0
+    for k in range(kmin, min(kmax, m) + 1):
+        for comb in itertools.combinations(range(m), k):
+            idx = list(comb)
+            full = float(a[idx].sum()) if k else 0.0
+            rem = alpha - full
+            if rem < -GUARD:
+                continue
+            if rem <= GUARD or k == m:
+                vec = np.zeros(m)
+                vec[idx] = a[idx]
+                rows.append(vec[None, :])
+                count += 1
+            else:
+                free = np.setdiff1d(np.arange(m), idx, assume_unique=True)
+                good = free[a[free] >= rem - GUARD]
+                if good.size:
+                    block = np.zeros((good.size, m))
+                    block[:, idx] = a[idx][None, :]
+                    block[np.arange(good.size), good] = np.minimum(rem, a[good])
+                    rows.append(block)
+                    count += int(good.size)
+            if count > EXTREME_POINT_BUDGET:
+                raise ValueError("exact mode: extreme-point budget %d exceeded; "
+                                 "use the heuristic" % EXTREME_POINT_BUDGET)
+    if not rows:
+        return np.zeros((0, len(caps)))
+    packed = np.concatenate(rows, axis=0)
+    out = np.zeros((packed.shape[0], len(caps)))
+    out[:, active] = packed
+    return out
+
+
+def test_extreme_point_walk_matches_the_per_subset_reference():
+    # cell-aligned and off-grid corners, alpha on and off the cell lattice,
+    # sides of up to 20 open cells (subsets of 8 and more sum pairwise)
+    def walk(fn, caps, alpha):
+        try:
+            return fn(caps, alpha)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = np.random.Generator(np.random.Philox(117))
+    cases = [(40, 0.5, 0.45), (12, 0.25, 0.25), (5, 0.5, 0.05), (20, 0.55, 0.32),
+             (44, 0.5, 0.25)]                       # the last one exceeds the budget
+    for _ in range(60):
+        n = int(rng.integers(2, 17))
+        cases.append((n, float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.02, 0.5))))
+    walked = 0
+    for n, x, alpha in cases:
+        for side in ("left", "right"):
+            caps = _availability([x], n, side)[0]
+            got = walk(approx_mod._extreme_side_vectors, caps, alpha)
+            want = walk(reference_extreme_side_vectors, caps, alpha)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+                walked += got.shape[0] > 0
+    assert walked >= 40
 
 
 def test_ul_sup_monotone_in_the_available_room():

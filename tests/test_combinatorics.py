@@ -169,6 +169,135 @@ def test_split_with_a_wrapped_remainder(monkeypatch):
         (res.remainder.intervals[0][1], res.remainder.intervals[1][0]), abs=1e-12)
 
 
+class ReferenceCompressed:
+    """The per-cut loop form of combinatorics._Compressed."""
+
+    def __init__(self, u, p: IntervalSet):
+        u = np.asarray(u, dtype=np.float64)
+        q = len(u)
+        seg_real = []      # (real_lo, real_hi, value)
+        for lo, hi in p.intervals:
+            cuts = [lo]
+            first = int(math.floor(lo * q)) + 1
+            while first / q < hi - 1e-12:
+                if first / q > lo + 1e-12:
+                    cuts.append(first / q)
+                first += 1
+            cuts.append(hi)
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                if b - a > 1e-12:
+                    seg_real.append((a, b, u[min(int(math.floor((a + b) / 2 * q)), q - 1)]))
+        self.real_lo = np.array([s[0] for s in seg_real])
+        self.real_hi = np.array([s[1] for s in seg_real])
+        self.val = np.array([s[2] for s in seg_real])
+        lengths = self.real_hi - self.real_lo
+        self.comp_edges = np.concatenate([[0.0], np.cumsum(lengths)])
+        self.h_pref = np.concatenate([[0.0], np.cumsum(lengths * self.val)])
+        self.length = float(self.comp_edges[-1])
+
+    def h(self, s):
+        s = min(max(float(s), 0.0), self.length)
+        i = int(np.searchsorted(self.comp_edges, s, side="right")) - 1
+        i = min(max(i, 0), len(self.val) - 1)
+        return float(self.h_pref[i] + (s - self.comp_edges[i]) * self.val[i])
+
+    def to_real(self, c0, c1) -> IntervalSet:
+        pieces = []
+        for i in range(len(self.val)):
+            lo = max(c0, self.comp_edges[i])
+            hi = min(c1, self.comp_edges[i + 1])
+            if hi - lo > 1e-12:
+                base = self.comp_edges[i]
+                pieces.append((self.real_lo[i] + (lo - base),
+                               self.real_lo[i] + (hi - lo) + (lo - base)))
+        return IntervalSet(tuple(pieces))
+
+
+def reference_first_window(comp, delta, bound, wrap):
+    """The per-piece loop form of combinatorics._first_window."""
+    slack = 1e-12 * (1.0 + float(np.abs(np.diff(comp.h_pref)).sum()))
+    ln = comp.length
+    edges = comp.comp_edges
+    if wrap:
+        lo_s, hi_s = ln - delta, ln
+        cands = np.concatenate([edges, edges + (ln - delta)])
+
+        def val(s):
+            return (comp.h(ln) - comp.h(s)) + comp.h(s - (ln - delta))
+    else:
+        lo_s, hi_s = 0.0, ln - delta
+        cands = np.concatenate([edges, edges - delta])
+
+        def val(s):
+            return comp.h(s + delta) - comp.h(s)
+
+    grid = np.unique(np.clip(np.concatenate([cands, [lo_s, hi_s]]), lo_s, hi_s))
+    for s0, s1 in zip(grid[-2::-1], grid[::-1]):
+        i0, i1 = val(s0), val(s1)
+        if abs(i1) <= bound + slack:
+            return float(s1)
+        hits = []
+        for target in (bound, -bound):
+            if (i0 - target) * (i1 - target) < 0:
+                hits.append(s0 + (target - i0) * (s1 - s0) / (i1 - i0))
+        if hits:
+            return float(max(hits))
+    if grid.size and abs(val(grid[0])) <= bound + slack:
+        return float(grid[0])
+    return None
+
+
+def _split_inputs():
+    """Random, tied and rounded step functions on unions of one to three
+    intervals, with free and cell-aligned ends, and the wrapped example."""
+    rng = np.random.Generator(np.random.Philox(409))
+    q, delta = 400, 0.4
+    x = np.arange(q + 1) / q
+    yield (q * np.diff(np.sin(np.pi * x / delta) ** 2 - x * np.sin(np.pi / delta) ** 2
+                       + 0.05 * x), IntervalSet(((0.0, 1.0),)), 0.6)
+    done = 0
+    while done < 300:
+        q = int(rng.integers(1, 41))
+        kind = done % 3
+        if kind == 0:
+            u = rng.uniform(-2, 2, q)
+        elif kind == 1:
+            u = rng.integers(-1, 3, q).astype(float)
+        else:
+            u = np.round(rng.uniform(-1, 2, q), 1)
+        cuts = np.sort(rng.uniform(0, 1, 2 * int(rng.integers(1, 4))))
+        if done % 2:
+            cuts = np.unique(np.round(cuts * q)) / q
+        ivs = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if b - a > 0.02]
+        if not ivs:
+            continue
+        p = IntervalSet(tuple(ivs))
+        if abs(interval_set_integral(u, p)) < 1e-3:
+            continue
+        yield u, p, float(rng.uniform(0.1, 0.9)) * p.measure
+        done += 1
+
+
+def test_split_matches_the_loop_reference(monkeypatch):
+    def outcome(u, p, beta):
+        try:
+            return repr(split_with_small_remainder(u, p, beta))
+        except (ValueError, ArithmeticError) as exc:
+            return repr(exc)
+
+    for u, p, beta in _split_inputs():
+        got = outcome(u, p, beta)
+        comp, ref = combinatorics._Compressed(u, p), ReferenceCompressed(u, p)
+        for name in ("real_lo", "real_hi", "val", "comp_edges", "h_pref"):
+            assert np.array_equal(getattr(comp, name), getattr(ref, name))
+        probes = np.concatenate([comp.comp_edges, np.linspace(-0.1, comp.length + 0.1, 9)])
+        assert comp.h(probes).tolist() == [ref.h(t) for t in probes]
+        with monkeypatch.context() as patch:
+            patch.setattr(combinatorics, "_Compressed", ReferenceCompressed)
+            patch.setattr(combinatorics, "_first_window", reference_first_window)
+            assert got == outcome(u, p, beta)
+
+
 def test_split_tolerates_rounding_at_large_scales():
     # every window of 1000 * ones over [0, 1] with beta = 1/3 has the integral
     # 1000 delta, which rounds just above the bound 1000 / 3; the slack, which

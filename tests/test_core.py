@@ -184,6 +184,38 @@ def test_step_to_block_averages_and_validation():
         step_to(w, [[0, 1, 2], [3]])     # unequal block sizes
     with pytest.raises(ValueError):
         step_to(w, [[0, 1], [1, 2]])     # not a partition
+    for bad in (0.5, True, "0"):         # indices are whole numbers
+        with pytest.raises(ValueError, match="cell indices must be integers"):
+            step_to(w, [[bad, 1], [2, 3]])
+    assert np.array_equal(step_to(w, [[0.0, 1], [2, 3.0]]).values, s.values)
+
+
+def reference_step_to(w, blocks):
+    """The per-block-pair loop form of step_to (valid partitions only)."""
+    blocks = [np.asarray(sorted(int(i) for i in b), dtype=np.intp) for b in blocks]
+    out = np.array(w.values, dtype=np.float64)
+    for bi in blocks:
+        for bj in blocks:
+            out[np.ix_(bi, bj)] = w.values[np.ix_(bi, bj)].mean()
+    return StepGraphon(out)
+
+
+def test_step_to_matches_the_block_pair_loop():
+    # scattered and contiguous blocks, rounded and tied values, blocks of up
+    # to 16 cells (a pair of 256 values sums in several pairwise blocks)
+    rng = np.random.Generator(np.random.Philox(31))
+    for trial in range(150):
+        b = int(rng.choice([1, 2, 3, 4, 5, 8, 12, 16]))
+        nb = int(rng.integers(1, max(2, 49 // b)))
+        n = b * nb
+        w = random_symmetric(n, rng, -10.0, 10.0)
+        if trial % 3 == 1:
+            w = StepGraphon(np.round(w.values, 1))
+        elif trial % 3 == 2:
+            w = StepGraphon(np.floor(w.values / 7.0))
+        order = rng.permutation(n) if trial % 2 else np.arange(n)
+        blocks = [order[i * b:(i + 1) * b].tolist() for i in rng.permutation(nb)]
+        assert np.array_equal(step_to(w, blocks).values, reference_step_to(w, blocks).values)
 
 
 def test_stepping_is_contractive_in_every_norm():
@@ -291,7 +323,10 @@ def _count_cases():
             (lambda v: rl.deviation_heuristic(planted, restarts=2, seed=v), 0),
         "estimate_deviation refinement": (lambda v: rl.estimate_deviation(small, refinement=v), 1),
         "estimate_deviation restarts": (lambda v: rl.estimate_deviation(small, restarts=v), 0),
+        "estimate_deviation seed": (lambda v: rl.estimate_deviation(small, seed=v), 0),
         "cut_norm restarts": (lambda v: rl.cut_norm(twenty, restarts=v), 1),
+        "cut_norm seed": (lambda v: rl.cut_norm(small, seed=v), 0),
+        "cut_norm cap": (lambda v: rl.cut_norm(small, cap=v), 0),
         "cut_norm_local_search restarts": (lambda v: rl.cut_norm_local_search(twenty, restarts=v), 1),
         "cut_norm_local_search seed": (lambda v: rl.cut_norm_local_search(twenty, seed=v), 0),
         "toeplitz_decay n": (lambda v: rl.toeplitz_decay(v), 1),
@@ -306,6 +341,7 @@ def _count_cases():
         "permute_scramble seed": (lambda v: rl.permute_scramble(small, seed=v), 0),
         "plant_violation seed": (lambda v: rl.plant_violation(small, 0.2, seed=v), 0),
         "CellSet resolution": (lambda v: rl.CellSet(v, (0, 1)), 1),
+        "CellSet index": (lambda v: rl.CellSet(4, (v, 3)), 0),
         "high_mask k": (lambda v: rm.high_mask(v), 0),
         "low_mask k": (lambda v: rm.low_mask(v), 0),
         "band_mask k": (lambda v: rm.band_mask(v), 0),
@@ -357,6 +393,8 @@ def _nan_cases():
         "lp_norm p": (lambda: lp_norm(w, nan), "p must be >= 1"),
         "theoretical_bound p": (lambda: rl.theoretical_bound(nan, 0.1), "norm index must exceed 5"),
         "theoretical_bound lam": (lambda: rl.theoretical_bound(6.0, nan), "deviation must be >= 0"),
+        "theoretical_bound inf_norm":
+            (lambda: rl.theoretical_bound(math.inf, 0.1, inf_norm=nan), "inf_norm must be >= 0"),
         "diagonal_band_integral halfwidth":
             (lambda: rl.diagonal_band_integral(w, nan), "halfwidth must be a number"),
         "proposition_constants p": (lambda: rl.proposition_constants(w, nan), "p must be >= 1"),

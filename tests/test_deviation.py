@@ -416,3 +416,59 @@ def test_triple_value_matches_the_list_reference():
         for right in (False, True):
             assert repr(_triple_value(v, *sets, q=q, right=right)) == \
                 repr(reference_triple_value(v, *sets, q=q, right=right))
+
+
+def reference_term_max_exact(v, q):
+    """The per-split loop form of _term_max_exact."""
+    best_key = None
+    best_info = None
+    for t2 in range(2, q):
+        tail = q - t2 - 1
+        for k in range(1, t2 // 2 + 1):
+            if k - 1 > tail:
+                break
+            combos = list(itertools.combinations(range(t2 + 1, q), k - 1))
+            carr = np.asarray(combos, dtype=np.intp).reshape(len(combos), k - 1)
+            f = np.repeat(v[t2, :t2][None, :], len(combos), axis=0)
+            if k > 1:
+                onehot = np.zeros((len(combos), tail), dtype=np.float64)
+                onehot[np.arange(len(combos))[:, None], carr - (t2 + 1)] = 1.0
+                f += onehot @ v[t2 + 1:, :t2]
+            for s in range(k, t2 - k + 1):
+                top_a = np.sort(np.partition(f[:, :s], s - k, axis=1)[:, s - k:],
+                                axis=1).sum(axis=1)
+                bot_b = np.sort(np.partition(f[:, s:t2], k - 1, axis=1)[:, :k],
+                                axis=1).sum(axis=1)
+                vals = top_a - bot_b
+                m = int(np.argmax(vals))
+                if best_key is None or vals[m] > best_key:
+                    best_key = float(vals[m])
+                    best_info = (t2, k, s, combos[m])
+    if best_info is None:
+        return None, None
+    t2, k, s, combo = best_info
+    c_set = (t2,) + combo
+    f = v[list(c_set), :t2].sum(axis=0)
+    a_set = tuple(sorted(int(i) for i in np.argsort(-f[:s], kind="stable")[:k]))
+    b_set = tuple(sorted(int(i) + s for i in np.argsort(f[s:t2], kind="stable")[:k]))
+    return _triple_value(v, a_set, b_set, c_set, q, right=False), (a_set, b_set, c_set)
+
+
+def test_exact_split_scan_matches_the_per_split_reference():
+    # random, three-valued (ties), rounded and refined kernels up to q = 18
+    rng = np.random.Generator(np.random.Philox(808))
+    for trial in range(48):
+        q = int(rng.integers(2, 19))
+        kind = trial % 4
+        if kind == 0:
+            m = rng.uniform(-1.0, 1.0, (q, q))
+        elif kind == 1:
+            m = rng.integers(0, 3, (q, q)).astype(float)
+        elif kind == 2:
+            m = np.round(rng.uniform(0.0, 1.0, (q, q)), 1)
+        else:
+            h = (q + 1) // 2
+            m = np.kron(rng.uniform(-1.0, 1.0, (h, h)), np.ones((2, 2)))[:q, :q]
+        v = StepGraphon(0.5 * (m + m.T)).values
+        for u in (v, v[::-1, ::-1]):
+            assert deviation_module._term_max_exact(u, q) == reference_term_max_exact(u, q)

@@ -387,6 +387,15 @@ def test_cli_refinement_must_be_at_least_one(tmp_path, capsys):
         assert "refinement must be >= 1" in capsys.readouterr().err
 
 
+def test_cli_seed_must_not_be_negative(tmp_path, capsys):
+    # the 8 x 8 input takes the exact solvers, which draw no stream
+    path = tmp_path / "w.txt"
+    save_graphon(toeplitz_decay(8, seed=3), path)
+    for command in ("lambda", "cutnorm"):
+        assert cli.main([command, "--in", str(path), "--config", '{"seed": -1}']) == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_cli_restarts_must_not_be_negative(tmp_path, capsys):
     path = tmp_path / "w.txt"
     m = np.random.Generator(np.random.Philox(20)).uniform(0.0, 1.0, (20, 20))
