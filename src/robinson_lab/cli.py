@@ -20,10 +20,10 @@ import traceback
 
 import numpy as np
 
-from . import core, cutnorm, deviation, synth, recovery, render
+from . import cutnorm, deviation, synth, recovery, render
 from .approx import closed_form_robinson_ae, robinson_approx
 from .combinatorics import IntervalSet, pigeonhole_shrink, split_with_small_remainder, interval_set_integral
-from .core import CellSet, StepGraphon, _rng, _whole_number, is_robinson, load_graphon, lp_norm, save_graphon
+from .core import CellSet, StepGraphon, _rng, _whole_number, is_robinson, load_graphon, save_graphon
 from .regions import compute_regions, largest_grey_square, verify_partition
 
 SCHEMA = "robinson-lab/1"
@@ -62,12 +62,14 @@ def _load_config(blob):
         raise _Error("unknown config keys: %s (allowed: %s)"
                      % (", ".join(unknown), ", ".join(CONFIG_KEYS)))
     cfg.update(data)
-    for key in ("refinement", "restarts", "seed", "cutnormCap"):   # whole; ranges come later
+    # one range rule for every command, with the library's messages
+    for key, least, message in (("refinement", 1, "refinement must be >= 1"),
+                                ("restarts", 0, "restarts must be >= 0"),
+                                ("seed", 0, "seed must be a non-negative integer"),
+                                ("cutnormCap", 0, "cap must be a whole number >= 0")):
         cfg[key] = _whole_number(cfg[key], -math.inf, "config %s must be an integer" % key)
-    if cfg["restarts"] < 0:
-        raise _Error("restarts must be >= 0")
-    if cfg["seed"] < 0:
-        raise _Error("seed must be a non-negative integer")
+        if cfg[key] < least:
+            raise _Error(message)
     if cfg["p"] == "inf":
         cfg["p"] = math.inf
     elif type(cfg["p"]) not in (int, float):
@@ -339,7 +341,7 @@ def _selftest_cases():
 
     def recover_round_trip():
         w = synth.toeplitz_decay(6, seed=6)
-        approx, rep = recovery.recover(w, p=6)
+        _, rep = recovery.recover(w, p=6)
         return rep.case_taken == "alpha-zero" and rep.measured_error == 0.0
 
     return [

@@ -278,21 +278,21 @@ def is_robinson(w: StepGraphon, tol: float = 0.0) -> RobinsonCheck:
     # running minima over the upper triangle: rows left-to-right, columns
     # bottom-to-top (j from k down to i).  Work on a masked copy so the lower
     # triangle never participates: it is +inf, and so are its running minima.
+    # Entry (i, k) is flagged exactly when some j in [i, k] violates, because
+    # rounding b + tol is monotone in b: min_j(b_j) + tol = min_j(b_j + tol).
     upper = np.where(np.triu(np.ones((n, n), dtype=bool)), v, np.inf)
-    row_runmin = np.minimum.accumulate(upper, axis=1)
-    col_runmin = np.minimum.accumulate(upper[::-1, :], axis=0)[::-1, :]
-    if not (np.any(upper > row_runmin + tol) or np.any(upper > col_runmin + tol)):
+    floor = np.minimum(np.minimum.accumulate(upper, axis=1),
+                       np.minimum.accumulate(upper[::-1, :], axis=0)[::-1, :])
+    floor += tol
+    bad = v > floor
+    first = int(np.argmax(bad))
+    if not bad.flat[first]:
         return RobinsonCheck(True, None)
 
-    # witness: first (i, j, k) in lexicographic order with
-    # v[i,k] > v[i,j] + tol or v[i,k] > v[j,k] + tol; triples with larger j
-    # are lexicographically larger, so stop at the first offending j.
-    for i in range(n):
-        for j in range(i, n):
-            bad_row = np.flatnonzero((v[i, j:] - v[i, j]) > tol)
-            bad_col = np.flatnonzero((v[i, j:] - v[j, j:]) > tol)
-            firsts = [int(b[0]) for b in (bad_row, bad_col) if b.size]
-            if firsts:
-                return RobinsonCheck(False, (i, j, j + min(firsts)))
-    # unreachable: fast check said "violation" but scan found none
-    raise AssertionError("inconsistent Robinson check")
+    # the first flagged row is the witness's i; (j, k) is the first violating
+    # pair of that row in row-major order, j <= k
+    i = first // n
+    row = v[i, i:]
+    bad = np.triu(row > np.minimum(row[:, None], v[i:, i:]) + tol)
+    j, k = divmod(int(np.argmax(bad)), n - i)
+    return RobinsonCheck(False, (i, i + j, i + k))

@@ -80,7 +80,7 @@ def cut_norm_exact(w: StepGraphon) -> CutNormResult:
                     continue
                 t_idx = np.flatnonzero(sign * c[row] > 0)
                 val = abs(_box_value(v, s_idx, t_idx, n))
-                t_mask = int(sum(1 << int(j) for j in t_idx))
+                t_mask = int((1 << t_idx).sum())
                 key = (-val, mask, t_mask)
                 if best is None or key < best[0]:
                     best = (key, s_idx, t_idx)
@@ -103,8 +103,8 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
     restarts = _whole_number(restarts, 1, "restarts must be >= 1")
     rng = _rng(seed)
     n = w.n
-    best = None   # (value_np, branch_order, restart_index, S tuple, T tuple)
-    for branch, v in ((0, w.values), (1, -w.values)):
+    best = None   # (value, S tuple, T tuple)
+    for v in (w.values, -w.values):
         s = (rng.random((restarts, n)) < 0.5).astype(np.float64)
         c = s @ v
         for _ in range(200):
@@ -116,14 +116,12 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
             c = s @ v
         t = (c > 0).astype(np.float64)
         val = np.einsum("ij,ij->i", c, t)
-        order = np.argsort(-val, kind="stable")
-        ridx = int(order[0])
-        cand = (float(val[ridx]), branch, ridx,
-                tuple(int(i) for i in np.flatnonzero(s[ridx])),
+        ridx = int(np.argmax(val))   # the first best restart
+        cand = (float(val[ridx]), tuple(int(i) for i in np.flatnonzero(s[ridx])),
                 tuple(int(j) for j in np.flatnonzero(t[ridx])))
         if best is None or cand[0] > best[0] + 1e-15:
             best = cand
-    _, _, _, s_idx, t_idx = best
+    _, s_idx, t_idx = best
     value = abs(_box_value(w.values, np.asarray(s_idx, dtype=np.intp),
                            np.asarray(t_idx, dtype=np.intp), n))
     return CutNormResult(value=value,

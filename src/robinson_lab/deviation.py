@@ -200,9 +200,7 @@ def _start_table(q, restarts, rng):
     follow, drawn from ``rng`` one at a time; ``drawn`` holds their
     ascending C blocks in that order.
     """
-    def lattice(lo, hi):   # up to _SWEEP_CAP integers in [lo, hi]
-        if hi < lo:
-            return []
+    def lattice(lo, hi):   # up to _SWEEP_CAP integers in [lo, hi], hi >= lo
         pts = np.unique(np.linspace(lo, hi, min(_SWEEP_CAP, hi - lo + 1)).round().astype(int))
         return [int(p) for p in pts]
 

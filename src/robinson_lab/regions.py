@@ -111,7 +111,6 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
     r = raster
     centers = (np.arange(r) + 0.5) / r
     xs, ys = np.meshgrid(centers, centers, indexing="ij")
-    tri = xs <= ys
 
     # ---- upper-left maxima -------------------------------------------------
     # pixel (ix, iy) may use anchors a <= center x -> index ix, b >= center y

@@ -735,6 +735,8 @@ def test_robinson_approx_alpha_zero_paths():
         robinson_approx(bad, 1.0)
     with pytest.raises(ValueError):
         robinson_approx(bad, -0.1)
+    with pytest.raises(ValueError, match="mode must be auto, exact or heuristic"):
+        robinson_approx(w, 0.2, mode="bogus")
 
 
 def test_grid_n_must_be_a_positive_integer():

@@ -8,15 +8,19 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from robinson_lab import (
+    RobinsonCheck,
     StepGraphon,
     cut_norm_exact,
     cutoff,
     is_robinson,
     load_graphon,
     lp_norm,
+    monotone_envelope,
+    plant_violation,
     refine,
     save_graphon,
     step_to,
+    toeplitz_decay,
 )
 from robinson_lab import cli
 
@@ -37,6 +41,47 @@ def brute_force_robinson(v, tol):
                 if v[i, k] > v[i, j] + tol or v[i, k] > v[j, k] + tol:
                     return False, (i, j, k)
     return True, None
+
+
+def robinson_scan_reference(w, tol):
+    """The former ``is_robinson``: the running-minimum verdict, then a scan
+    over (i, j) for the witness, in the difference form v[i,k] - v[i,j] > tol."""
+    v, n = w.values, w.n
+    upper = np.where(np.triu(np.ones((n, n), dtype=bool)), v, np.inf)
+    row_runmin = np.minimum.accumulate(upper, axis=1)
+    col_runmin = np.minimum.accumulate(upper[::-1, :], axis=0)[::-1, :]
+    if not (np.any(upper > row_runmin + tol) or np.any(upper > col_runmin + tol)):
+        return RobinsonCheck(True, None)
+    for i in range(n):
+        for j in range(i, n):
+            bad_row = np.flatnonzero((v[i, j:] - v[i, j]) > tol)
+            bad_col = np.flatnonzero((v[i, j:] - v[j, j:]) > tol)
+            firsts = [int(b[0]) for b in (bad_row, bad_col) if b.size]
+            if firsts:
+                return RobinsonCheck(False, (i, j, j + min(firsts)))
+    raise AssertionError("inconsistent Robinson check")
+
+
+def robinson_families(rng, count):
+    """Planted Toeplitz kernels, three-valued kernels with many ties,
+    perturbed envelopes and random symmetric matrices, n from 1 to 29."""
+    for trial in range(count):
+        n = int(rng.integers(1, 30))
+        kind = trial % 4
+        if kind == 0:
+            w = toeplitz_decay(n, seed=trial)
+            if n >= 3:
+                w, _ = plant_violation(w, float(rng.uniform(0.01, 0.5)), seed=trial)
+            yield w
+        elif kind == 1:
+            v = rng.choice([0.0, 0.5, 1.0], (n, n))
+            yield StepGraphon(np.triu(v) + np.triu(v, 1).T)
+        elif kind == 2:
+            e = monotone_envelope(np.triu(rng.uniform(0.0, 1.0, (n, n))))
+            dent = rng.normal(0.0, 1e-3, (n, n)) * (rng.random((n, n)) < 0.05)
+            yield StepGraphon(e + 0.5 * (dent + dent.T))
+        else:
+            yield random_symmetric(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +335,33 @@ def test_is_robinson_matches_brute_force():
             assert mine.witness == ref_wit
         agree += 1
     assert agree == 120
+
+
+def test_is_robinson_equals_the_former_scan():
+    rng = np.random.Generator(np.random.Philox(1901))
+    checked = 0
+    for w in robinson_families(rng, 400):
+        for tol in (0.0, 1e-12, 0.05):
+            assert is_robinson(w, tol) == robinson_scan_reference(w, tol)
+            checked += 1
+    assert checked == 1200
+    # n = 300 with its only violation in the last rows
+    v = np.array(toeplitz_decay(300, seed=4).values)
+    v[297, 299] = v[299, 297] = v[297, 298] + 0.25
+    w = StepGraphon(v)
+    assert is_robinson(w) == robinson_scan_reference(w, 0.0) == (False, (297, 297, 299))
+
+
+def test_is_robinson_witness_follows_its_verdict_where_rounding_splits_the_forms():
+    # a > fl(b + tol), yet fl(a - b) rounds down to tol: the verdict says
+    # violated, and the former difference-form scan found no triple
+    b, a, tol = 0.00487344528291896, 0.054873445282918966, 0.05
+    assert a > b + tol and not a - b > tol
+    w = StepGraphon([[b, a], [a, b]])
+    assert is_robinson(w, tol) == RobinsonCheck(False, (0, 0, 1))
+    assert brute_force_robinson(w.values, tol) == (False, (0, 0, 1))
+    with pytest.raises(AssertionError, match="inconsistent"):
+        robinson_scan_reference(w, tol)
 
 
 def test_is_robinson_tolerance_semantics():

@@ -1,0 +1,93 @@
+"""Dead names in the library: imports a module never reads, and function
+locals assigned but never read.  A small stand-in for pyflakes, built on
+``ast`` alone.  ``__init__.py`` (re-exports), ``from __future__ import
+annotations`` and the name ``_`` are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "robinson_lab"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+EXEMPT = {"_"}
+
+
+def _loads(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def unused_imports(tree):
+    """(line, name) of every module-level import binding the module never reads."""
+    read = _loads(tree)
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in EXEMPT:
+                    found.append((stmt.lineno, name))
+    return found
+
+
+def _own_stores(func):
+    """Names a function binds in its own scope, with their first line."""
+    stores = {}
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue                       # a nested scope binds its own names
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores.setdefault(node.id, node.lineno)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            stores.setdefault(node.name, node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return stores
+
+
+def unread_locals(tree):
+    """(line, function, name) of every local a function assigns and never
+    reads, nested functions' reads included (they see it as a closure)."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        declared = {name for n in ast.walk(func) if isinstance(n, (ast.Global, ast.Nonlocal))
+                    for name in n.names}
+        read = _loads(func)
+        for name, line in _own_stores(func).items():
+            if name not in read and name not in declared and name not in EXEMPT:
+                found.append((line, func.name, name))
+    return sorted(found)
+
+
+def test_the_checker_finds_both_kinds():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "from math import pi, tau\n"
+        "def f(a):\n"
+        "    b, c = a\n"
+        "    for _ in range(2):\n"
+        "        d = 1\n"
+        "    e = 2\n"
+        "    def g():\n"
+        "        return e + tau\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"
+        "        pass\n"
+        "    return c, g, os\n")
+    assert unused_imports(tree) == [(2, "system"), (3, "pi")]
+    assert unread_locals(tree) == [(5, "f", "b"), (7, "f", "d"), (13, "f", "exc")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []
+    assert unread_locals(tree) == []

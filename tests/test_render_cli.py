@@ -423,6 +423,28 @@ def test_cli_restarts_must_not_be_negative(tmp_path, capsys):
         assert "restarts must be >= 1" in capsys.readouterr().err
 
 
+def test_cli_config_ranges_hold_for_every_command(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    save_graphon(toeplitz_decay(6, seed=3), path)
+    commands = [["lambda"], ["cutnorm"], ["approx", "--alpha", "0.2"], ["recover"],
+                ["recover", "--bounded"]]
+    cases = [({"cutnormCap": -1}, "cap must be a whole number >= 0"),
+             ({"refinement": 0}, "refinement must be >= 1"),
+             ({"restarts": -1}, "restarts must be >= 0"),
+             ({"seed": -1}, "seed must be a non-negative integer")]
+    for blob, message in cases:
+        for command in commands:
+            argv = [command[0], "--in", str(path)] + command[1:]
+            assert cli.main(argv + ["--config", json.dumps(blob)]) == 1
+            assert message in capsys.readouterr().err
+        assert cli.main(["synth", "--kind", "smooth", "--n", "6", "--noise", "uniform_bounded",
+                         "--out-matrix", str(tmp_path / "s.txt"),
+                         "--config", json.dumps(blob)]) == 1
+        assert message in capsys.readouterr().err
+    code, _ = run_json(["lambda", "--in", str(path), "--config", '{"cutnormCap": 0}'], capsys)
+    assert code == 0
+
+
 def test_cli_validation_exit_codes(tmp_path, capsys):
     good = tmp_path / "w.txt"
     save_graphon(StepGraphon(N3), good)
