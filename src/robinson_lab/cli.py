@@ -28,9 +28,9 @@ from .regions import compute_regions, largest_grey_square, verify_partition
 
 SCHEMA = "robinson-lab/1"
 
-CONFIG_KEYS = ("p", "refinement", "restarts", "seed", "cutnormCap", "gridN")
 CONFIG_DEFAULTS = {"p": 6.0, "refinement": 2, "restarts": 50, "seed": 0,
                    "cutnormCap": cutnorm.DEFAULT_DISPATCH_CAP, "gridN": None}
+CONFIG_KEYS = tuple(CONFIG_DEFAULTS)
 
 
 class _Error(Exception):
@@ -184,11 +184,11 @@ def _csv_row(rep: dict) -> str:
 
 def _cmd_recover(args, cfg):
     w = _need_input(args)
-    p = float(args.p) if args.p is not None else cfg["p"]
+    p = cfg["p"] if args.p is None else args.p
     grid_n = _grid_n(args, cfg)
     kw = dict(refinement=cfg["refinement"], restarts=cfg["restarts"], seed=cfg["seed"],
               grid_n=grid_n, cutnorm_cap=cfg["cutnormCap"])
-    if args.bounded or math.isinf(p):
+    if p == math.inf:
         approx, rep = recovery.recover_bounded(w, **kw)
     else:
         approx, rep = recovery.recover(w, p=p, **kw)
@@ -387,10 +387,9 @@ def _build_parser():
         sp.add_argument("--out", metavar="PATH",
                         help="JSON report path (default: stdout)")
         sp.add_argument("--config", metavar="JSON",
-                        help="JSON parameter object or @file; keys: "
-                             + ", ".join(CONFIG_KEYS)
-                             + " (defaults: p=6, refinement=2, restarts=50, "
-                               "seed=0, cutnormCap=16, gridN=input size)")
+                        help="JSON parameter object or @file; keys (defaults): "
+                             + ", ".join("%s (%s)" % (key, "input size" if v is None else "%g" % v)
+                                         for key, v in CONFIG_DEFAULTS.items()))
 
     sp = sub.add_parser("lambda", help="ordered-shape deviation of a step graphon")
     common(sp)
@@ -417,10 +416,11 @@ def _build_parser():
 
     sp = sub.add_parser("recover", help="full recovery pipeline with theoretical error bound")
     common(sp)
-    sp.add_argument("--p", type=float, default=None,
-                    help="norm index, finite > 5 (default: config p)")
-    sp.add_argument("--bounded", action="store_true",
-                    help="use the bounded-kernel route (p = inf)")
+    p_or_bounded = sp.add_mutually_exclusive_group()
+    p_or_bounded.add_argument("--p", type=float, default=None,
+                              help="norm index > 5, or inf (default: config p)")
+    p_or_bounded.add_argument("--bounded", dest="p", action="store_const", const=math.inf,
+                              help="use the bounded-kernel route (same as --p inf)")
     sp.add_argument("--grid", type=int, default=None)
     sp.add_argument("--out-matrix", metavar="PATH")
     sp.add_argument("--out-csv", metavar="PATH", help="also write the report as a CSV row")

@@ -101,30 +101,28 @@ def _term_max_exact(v, q):
     return _triple_value(v, a_set, b_set, c_set, q, right=False), (a_set, b_set, c_set)
 
 
-def _reflect(sets, q):
-    return tuple(tuple(sorted(q - 1 - i for i in s)) for s in reversed(sets))
-
-
-def _assemble(q, refinement, mode, left, right_reflected):
-    t_left, wit_left = left
-    # the kernel is symmetric, so the reflected witness covers the same
-    # multiset of entries and its correctly rounded value carries over
-    t_right, wit_right_rev = right_reflected
-    wit_right = None if wit_right_rev is None else _reflect(wit_right_rev, q)
-    # flooring = choosing the empty triple, so negative witnesses are dropped
-    if t_left is None or t_left < 0.0:
-        t_left, wit_left = 0.0, None
-    if t_right is None or t_right < 0.0:
-        t_right, wit_right = 0.0, None
-    value = 0.5 * t_left + 0.5 * t_right
-
-    def cells(tpl):
-        return tuple(CellSet(q, t) for t in tpl) if tpl else None
-
+def _certificate(w, r, mode, term_max, *args):
+    """The skeleton of both solvers: refine ``w`` r times per axis, maximise
+    the left term with ``term_max(v, q, *args)`` on v and on v reflected
+    (the right term, by symmetry), reflect that witness back, and floor."""
+    q = w.n * r
+    v = refine(w, r).values
+    terms = []
+    for flip, u in enumerate((v, v[::-1, ::-1])):
+        t, wit = term_max(u, q, *args)
+        # flooring = choosing the empty triple, so negative witnesses are dropped
+        if t is None or t < 0.0:
+            terms += [0.0, None]
+            continue
+        # the kernel is symmetric, so the reflected witness covers the same
+        # multiset of entries and its correctly rounded value carries over
+        if flip:
+            wit = [[q - 1 - i for i in part] for part in wit[::-1]]
+        terms += [t, tuple(CellSet(q, part) for part in wit)]
+    t_left, wit_left, t_right, wit_right = terms
     return DeviationCertificate(
-        value=value, term_left=t_left, term_right=t_right,
-        witness_left=cells(wit_left), witness_right=cells(wit_right),
-        refinement=refinement, mode=mode)
+        value=0.5 * t_left + 0.5 * t_right, term_left=t_left, term_right=t_right,
+        witness_left=wit_left, witness_right=wit_right, refinement=r, mode=mode)
 
 
 def deviation_exact(w: StepGraphon, refinement: int = 1) -> DeviationCertificate:
@@ -135,21 +133,9 @@ def deviation_exact(w: StepGraphon, refinement: int = 1) -> DeviationCertificate
         enumerating; the grid size n*refinement must stay <= 15
     """
     r = _whole_number(refinement, 1, "refinement must be >= 1")
-    q = w.n * r
-    if q > EXACT_DEVIATION_CAP:
-        raise ValueError("refined grid %d exceeds exact cap %d" % (q, EXACT_DEVIATION_CAP))
-    v = refine(w, r).values
-    left = _term_max_exact(v, q)
-    right = _term_max_exact(v[::-1, ::-1], q)
-    return _assemble(q, r, "exact", left, right)
-
-
-def _block_sizes(kmax):
-    """Block sizes tried at one split: all up to 16, doublings plus kmax above."""
-    if kmax <= 16:
-        return list(range(1, kmax + 1))
-    ks = [1 << e for e in range(kmax.bit_length())]
-    return ks if ks[-1] == kmax else ks + [kmax]
+    if w.n * r > EXACT_DEVIATION_CAP:
+        raise ValueError("refined grid %d exceeds exact cap %d" % (w.n * r, EXACT_DEVIATION_CAP))
+    return _certificate(w, r, "exact", _term_max_exact)
 
 
 def _pick(key, k):
@@ -193,33 +179,33 @@ def _alternate(v, t2, s, c, k):
 
 
 def _start_table(q, restarts, rng):
-    """Every start of the left-term search: split t2, split s, block size k.
+    """Every start of the left-term search: split t2, split s, block size k
+    and the table ``c``, whose row i begins with start i's ascending C block.
 
-    The swept starts come first, lattice splits with each block size of
-    ``_block_sizes`` and C = t2, ..., t2 + k - 1.  The seeded restarts
-    follow, drawn from ``rng`` one at a time; ``drawn`` holds their
-    ascending C blocks in that order.
+    The swept starts come first: each lattice pair (t2, s) with the block
+    sizes k <= m = min(s, t2 - s, q - t2) in ascending order, all of them
+    when m <= 16 and else the powers of two and m itself, and C = t2, ...,
+    t2 + k - 1.  The seeded restarts follow, drawn from ``rng`` one at a
+    time.  As k <= m <= q / 3, the table is q // 3 wide.
     """
     def lattice(lo, hi):   # up to _SWEEP_CAP integers in [lo, hi], hi >= lo
-        pts = np.unique(np.linspace(lo, hi, min(_SWEEP_CAP, hi - lo + 1)).round().astype(int))
-        return [int(p) for p in pts]
+        return np.unique(np.linspace(lo, hi, min(_SWEEP_CAP, hi - lo + 1)).round().astype(np.intp))
 
-    t2, s = np.array([(t2, s) for t2 in lattice(2, q - 1) for s in lattice(1, t2 - 1)],
-                     dtype=np.intp).T
-    sizes = [_block_sizes(m) for m in np.minimum(np.minimum(s, t2 - s), q - t2).tolist()]
-    counts = [len(ks) for ks in sizes]
-    t2, s = np.repeat(t2, counts), np.repeat(s, counts)
-    k = np.concatenate(sizes).astype(np.intp)
-    drawn = []
+    t2, s = np.array([(t2, s) for t2 in lattice(2, q - 1) for s in lattice(1, t2 - 1)]).T
+    m = np.minimum(np.minimum(s, t2 - s), q - t2)[:, None]
+    ks = np.arange(1, q // 3 + 1)
+    pair, k = np.nonzero((ks <= m) & ((m <= 16) | ((ks & (ks - 1)) == 0) | (ks == m)))
     rest = np.empty((3, restarts), dtype=np.intp)
+    rest_c = np.zeros((restarts, q // 3), dtype=np.intp)
     for j in range(restarts):
         rt = int(rng.integers(2, q))
         rs = int(rng.integers(1, rt))
         rk = int(rng.integers(1, min(rs, rt - rs, q - rt) + 1))
         rest[:, j] = rt, rs, rk
-        drawn.append(np.sort(rng.choice(np.arange(rt, q), size=rk, replace=False)))
-    return (np.concatenate([t2, rest[0]]), np.concatenate([s, rest[1]]),
-            np.concatenate([k, rest[2]]), drawn)
+        rest_c[j, :rk] = np.sort(rng.choice(np.arange(rt, q), size=rk, replace=False))
+    return (np.concatenate([t2[pair], rest[0]]), np.concatenate([s[pair], rest[1]]),
+            np.concatenate([ks[k], rest[2]]),
+            np.concatenate([t2[pair, None] + np.arange(q // 3), rest_c]))
 
 
 def _term_max_heuristic(v, q, restarts, rng):
@@ -232,8 +218,7 @@ def _term_max_heuristic(v, q, restarts, rng):
     """
     if q < 3:
         return None, None
-    t2, s, k, drawn = _start_table(q, restarts, rng)
-    n_sweep = len(k) - restarts
+    t2, s, k, c = _start_table(q, restarts, rng)
     values = np.empty(len(k))
     leaders = {}   # index of each chunk's first best start -> its triple
     # values and leaders are indexed by start: the group order cannot change the winner
@@ -242,10 +227,7 @@ def _term_max_heuristic(v, q, restarts, rng):
         step = max(1, (1 << 17) // (kk * q))
         for lo in range(0, len(idx), step):
             chunk = idx[lo:lo + step]
-            c0 = t2[chunk, None] + np.arange(kk)
-            for row in np.flatnonzero(chunk >= n_sweep).tolist():
-                c0[row] = drawn[chunk[row] - n_sweep]
-            best, trip = _alternate(v, t2[chunk], s[chunk], c0, kk)
+            best, trip = _alternate(v, t2[chunk], s[chunk], c[chunk, :kk], kk)
             values[chunk] = best
             m = int(np.argmax(best))
             leaders[int(chunk[m])] = tuple(tuple(int(i) for i in part[m]) for part in trip)
@@ -264,9 +246,4 @@ def deviation_heuristic(w: StepGraphon, refinement: int = 1,
     """
     r = _whole_number(refinement, 1, "refinement must be >= 1")
     restarts = _whole_number(restarts, 0, "restarts must be >= 0")
-    rng = _rng(seed)
-    q = w.n * r
-    v = refine(w, r).values
-    left = _term_max_heuristic(v, q, restarts, rng)
-    right = _term_max_heuristic(v[::-1, ::-1], q, restarts, rng)
-    return _assemble(q, r, "heuristic", left, right)
+    return _certificate(w, r, "heuristic", _term_max_heuristic, restarts, _rng(seed))

@@ -68,7 +68,7 @@ def theoretical_bound(p, lam: float, inf_norm: Optional[float] = None) -> float:
         raise ValueError("inf_norm must be >= 0")
     if lam == 0:
         return 0.0
-    if math.isinf(p):
+    if p == math.inf:
         if inf_norm is None or inf_norm <= 1.0 + 1e-12:
             return 44.0 * lam ** 0.2
         return 44.0 * inf_norm ** 0.8 * lam ** 0.2
@@ -270,7 +270,7 @@ def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
     lattice, which at r = 1 cannot see a violation inside one cell.
     """
     p = float(p)
-    if math.isinf(p):
+    if p == math.inf:
         raise ValueError("p = inf is the bounded route; call recover_bounded")
     if not p > 5:
         raise ValueError("norm index p must exceed 5")

@@ -83,33 +83,26 @@ _NOISE_KINDS = ("uniform_bounded", "sparse_spikes", "sign_flip")
 
 def _noise_matrix(w: StepGraphon, kind: str, magnitude: float, rng,
                   spike_density: float = 0.05) -> np.ndarray:
-    n = w.n
-    iu = np.triu_indices(n)
+    iu = np.triu_indices(w.n)
     if kind == "uniform_bounded":
-        unit = np.zeros((n, n))
-        unit[iu] = rng.uniform(-1.0, 1.0, size=iu[0].size)
-        unit = np.triu(unit) + np.triu(unit, 1).T
-        return magnitude * unit
-    if kind == "sparse_spikes":
+        upper = magnitude * rng.uniform(-1.0, 1.0, size=iu[0].size)
+    elif kind == "sparse_spikes":
         # heavy-tail model: a `spike_density` fraction of cells jumps by the
         # spike height `magnitude`; keeps lp norms finite while inflating linf
         if not 0.0 < spike_density <= 1.0:
             raise ValueError("spike_density must lie in (0, 1]")
         count = max(1, int(round(spike_density * iu[0].size)))
         pick = rng.choice(iu[0].size, size=count, replace=False)
-        unit = np.zeros((n, n))
-        unit[iu[0][pick], iu[1][pick]] = 1.0
-        unit = np.triu(unit) + np.triu(unit, 1).T
-        return magnitude * unit
-    if kind == "sign_flip":
+        upper = magnitude * np.bincount(pick, minlength=iu[0].size)
+    elif kind == "sign_flip":
         # magnitude acts as the per-cell flip probability here
         prob = min(max(magnitude, 0.0), 1.0)
-        flips = rng.random(iu[0].size) < prob
-        unit = np.zeros((n, n))
-        unit[iu[0][flips], iu[1][flips]] = 1.0
-        unit = np.triu(unit) + np.triu(unit, 1).T
-        return -2.0 * unit * w.values
-    raise ValueError(f"unknown noise kind {kind!r}; expected one of {_NOISE_KINDS}")
+        upper = -2.0 * (rng.random(iu[0].size) < prob) * w.values[iu]
+    else:
+        raise ValueError(f"unknown noise kind {kind!r}; expected one of {_NOISE_KINDS}")
+    noise = np.empty((w.n, w.n))
+    noise[iu] = noise[iu[::-1]] = upper
+    return noise
 
 
 def add_noise(

@@ -341,6 +341,15 @@ def test_split_validation():
         split_with_small_remainder(balanced, IntervalSet(((0.0, 1.0),)), 0.3)
 
 
+def test_split_into_one_part_when_beta_is_all_but_a_rounding_of_p():
+    u = np.array([1.0, -0.5, 0.25, 0.75])
+    p = IntervalSet(((0.0, 0.4), (0.5, 0.95)))
+    res = split_with_small_remainder(u, p, p.measure * (1 - 1e-13))
+    total = interval_set_integral(u, p)
+    assert res.parts == (p,) and res.remainder == p
+    assert res.remainder_integral == total and res.target_bound == abs(total)
+
+
 # ---------------------------------------------------------------------------
 # pigeonhole shrink: exhaustive enumeration as the oracle
 
@@ -443,3 +452,6 @@ def test_shrink_validation():
     neg = StepGraphon(-np.ones((4, 4)))
     with pytest.raises(ValueError):
         pigeonhole_shrink(neg, s4, s4, 0.5)               # nonpositive integral
+    for empty in ((CellSet(4, ()), CellSet(4, ())), (CellSet(4, ()), s4), (s4, CellSet(4, ()))):
+        with pytest.raises(ValueError, match="empty cell set"):
+            pigeonhole_shrink(f, *empty, 0.5)

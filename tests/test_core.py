@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from robinson_lab import (
+    CellSet,
     RobinsonCheck,
     StepGraphon,
     cut_norm_exact,
@@ -23,6 +24,7 @@ from robinson_lab import (
     toeplitz_decay,
 )
 from robinson_lab import cli
+from robinson_lab.core import MAX_REFINED_CELLS
 
 RNG = np.random.Generator(np.random.Philox(20240901))
 
@@ -151,7 +153,8 @@ def test_load_rows_only_form(tmp_path):
 @pytest.mark.parametrize("body, message", [
     ("0 1 2\n1 0\n2 1 0\n", "row 2 has 2 entries, expected 3 like row 1"),
     ("0 1 2\n1 0 1\n", "expected 3 rows of 3 entries, found 2 rows"),
-], ids=["ragged", "nonsquare"])
+    ("2\n0 1\n1 zero\n", "non-numeric matrix entry"),
+], ids=["ragged", "nonsquare", "non-numeric"])
 def test_load_rejects_ragged_or_nonsquare_rows(tmp_path, capsys, body, message):
     path = tmp_path / "bad.mat"
     path.write_text(body)
@@ -173,6 +176,11 @@ def test_load_rejects_malformed_files(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ValueError):
         load_graphon(path)
+
+
+def test_cell_set_rejects_duplicate_indices():
+    with pytest.raises(ValueError, match="duplicate cell indices"):
+        CellSet(4, (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +220,8 @@ def test_refine_preserves_the_function():
     assert refine(w, 1) is w
     with pytest.raises(ValueError):
         refine(w, 0)
+    with pytest.raises(ValueError, match="exceeds cap %d" % MAX_REFINED_CELLS):
+        refine(w, MAX_REFINED_CELLS // 5 + 1)
 
 
 def test_step_to_block_averages_and_validation():
@@ -233,6 +243,8 @@ def test_step_to_block_averages_and_validation():
         with pytest.raises(ValueError, match="cell indices must be integers"):
             step_to(w, [[bad, 1], [2, 3]])
     assert np.array_equal(step_to(w, [[0.0, 1], [2, 3.0]]).values, s.values)
+    with pytest.raises(ValueError, match="no blocks given"):
+        step_to(w, [])
 
 
 def reference_step_to(w, blocks):

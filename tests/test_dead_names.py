@@ -1,7 +1,8 @@
-"""Dead names in the library: imports a module never reads, and function
-locals assigned but never read.  A small stand-in for pyflakes, built on
-``ast`` alone.  ``__init__.py`` (re-exports), ``from __future__ import
-annotations`` and the name ``_`` are exempt.
+"""Dead names in the library: imports a module never reads, function
+locals assigned but never read, and private module-level functions that no
+library module names.  A small stand-in for pyflakes, built on ``ast``
+alone.  ``__init__.py`` (re-exports), ``from __future__ import
+annotations`` and the name ``_`` are exempt from the first two checks.
 """
 
 import ast
@@ -65,6 +66,37 @@ def unread_locals(tree):
     return sorted(found)
 
 
+def _names(tree, skip):
+    """Every name ``tree`` reads as a variable, an attribute or an import,
+    outside the node ``skip``."""
+    names, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unreferenced_private_functions(trees):
+    """(module, line, name) of every private module-level function that no
+    tree in ``trees`` (a module name -> tree map) names outside its own body."""
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")
+                    and not any(stmt.name in _names(t, stmt) for t in trees.values())):
+                found.append((module, stmt.lineno, stmt.name))
+    return found
+
+
 def test_the_checker_finds_both_kinds():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -91,3 +123,28 @@ def test_no_dead_names(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
     assert unread_locals(tree) == []
+
+
+def test_the_checker_finds_unreferenced_private_functions():
+    trees = {
+        "a": ast.parse(
+            "def _imported(): pass\n"
+            "def _by_attribute(): pass\n"
+            "def _self_only(n):\n"
+            "    return _self_only(n - 1) if n else 0\n"
+            "def _dead(): pass\n"
+            "def __getattr__(name): pass\n"
+            "def public(): return _local()\n"
+            "def _local(): pass\n"),
+        "b": ast.parse(
+            "import a\n"
+            "from a import _imported\n"
+            "x = a._by_attribute\n"),
+    }
+    assert unreferenced_private_functions(trees) == [("a", 3, "_self_only"), ("a", 5, "_dead")]
+
+
+def test_every_private_function_is_named_by_the_library():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_functions(trees) == []

@@ -24,7 +24,6 @@ from robinson_lab import deviation as deviation_module
 from robinson_lab.deviation import (
     _SWEEP_CAP,
     EXACT_DEVIATION_CAP,
-    _block_sizes,
     _pick,
     _start_table,
     _triple_value,
@@ -135,6 +134,12 @@ def test_cap_and_validation():
     with pytest.raises(ValueError, match="restarts must be >= 0"):
         deviation_heuristic(w, 1, restarts=-3)
     deviation_heuristic(w, 2)            # heuristic has no cap
+
+
+def test_heuristic_below_three_cells_has_no_triple():
+    cert = deviation_heuristic(StepGraphon([[0.0, 1.0], [1.0, 0.0]]), 1)
+    assert (cert.value, cert.term_left, cert.term_right) == (0.0, 0.0, 0.0)
+    assert cert.witness_left is None and cert.witness_right is None
 
 
 def test_cut_norm_continuity():
@@ -254,6 +259,13 @@ def reference_alternate(v, t2, s, c, k):
 
 def reference_starts(q, restarts, rng):
     """The start list as (t2, s, C tuple), kept verbatim."""
+    def _block_sizes(kmax):
+        """Block sizes tried at one split: all up to 16, doublings plus kmax above."""
+        if kmax <= 16:
+            return list(range(1, kmax + 1))
+        ks = [1 << e for e in range(kmax.bit_length())]
+        return ks if ks[-1] == kmax else ks + [kmax]
+
     def lattice(lo, hi):   # up to _SWEEP_CAP integers in [lo, hi]
         if hi < lo:
             return []
@@ -321,12 +333,9 @@ def test_start_table_matches_the_reference_list():
         for restarts in (0, 1, 7, 50):
             rng_new = np.random.Generator(np.random.Philox(q + restarts))
             rng_ref = np.random.Generator(np.random.Philox(q + restarts))
-            t2, s, k, drawn = _start_table(q, restarts, rng_new)
+            t2, s, k, c = _start_table(q, restarts, rng_new)
             ref = reference_starts(q, restarts, rng_ref)
-            n_sweep = len(k) - restarts
-            rows = [(int(t2[i]), int(s[i]),
-                     tuple(range(t2[i], t2[i] + k[i])) if i < n_sweep
-                     else tuple(drawn[i - n_sweep]))
+            rows = [(int(t2[i]), int(s[i]), tuple(int(j) for j in c[i, :k[i]]))
                     for i in range(len(k))]
             assert rows == [(t, a, tuple(int(j) for j in c)) for t, a, c in ref]
             assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)

@@ -91,6 +91,8 @@ def test_theoretical_bound_validation():
         theoretical_bound(4.9, 0.1)
     with pytest.raises(ValueError):
         theoretical_bound(6.0, -0.1)
+    with pytest.raises(ValueError, match="norm index must exceed 5"):
+        theoretical_bound(-math.inf, 0.1)           # not the p = inf bound
 
 
 def test_proposition_constants_wiring():
@@ -301,6 +303,8 @@ def test_recover_validation():
         recover(w, p=5.0)
     with pytest.raises(ValueError):
         recover(w, p=math.inf)
+    with pytest.raises(ValueError, match="norm index p must exceed 5"):
+        recover(w, p=-math.inf)
     with pytest.raises(ValueError):
         recover(StepGraphon(np.array([[-0.1, 0.0], [0.0, 0.1]])), p=6.0)
 
@@ -432,6 +436,10 @@ def test_recover_is_deterministic():
     a2, r2 = recover(w, p=8.0)
     assert np.array_equal(a1.values, a2.values)
     assert r1.alpha == r2.alpha and r1.measured_error == r2.measured_error
+
+
+def test_diagonal_band_of_zero_width_is_zero():
+    assert diagonal_band_integral(toeplitz_decay(5, seed=1), 0) == 0.0
 
 
 # ---------------------------------------------------------------------------

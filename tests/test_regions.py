@@ -93,6 +93,18 @@ def test_partition_holds_and_corruption_is_caught():
     broken = dataclasses.replace(rm, k_low=np.maximum(rm.k_high, 1))
     assert not verify_partition(broken)
 
+    # one corrupted pixel breaks a convention at k = 0 or at the top level
+    def corrupt(field, pixel, value):
+        levels = getattr(rm, field).copy()
+        levels[pixel] = value
+        return dataclasses.replace(rm, **{field: levels})
+
+    total = rm.total_levels
+    assert not verify_partition(corrupt("k_high", (0, 1), -1))         # high zone at k = 0
+    assert not verify_partition(corrupt("k_high", (3, 3), total - 1))  # diagonal high at the top
+    assert not verify_partition(corrupt("k_low", (0, 1), 0))           # low zone at k = 0
+    assert not verify_partition(corrupt("k_low", (0, 1), total + 1))   # low zone at the top
+
 
 def test_grey_square_guarantee():
     rng = np.random.Generator(np.random.Philox(302))

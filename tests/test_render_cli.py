@@ -1,6 +1,7 @@
 """SVG/CSV emission and the command-line surface."""
 
 import json
+import math
 import re
 import subprocess
 
@@ -169,6 +170,8 @@ def test_cli_synth_rejects_bad_sizes_and_seeds(tmp_path, capsys):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
     assert cli.main(["synth", "--kind", "toeplitz", "--n", "4"]) == 1
     assert "--out-matrix" in capsys.readouterr().err
+    assert cli.main(["synth", "--kind", "bogus", "--n", "4", "--out-matrix", str(mat)]) == 1
+    assert "unknown generator 'bogus'" in capsys.readouterr().err
     assert not mat.exists()
 
 
@@ -321,15 +324,37 @@ def test_cli_recover_json_and_csv(tmp_path, capsys):
 
 
 def test_cli_recover_bounded_route(tmp_path, capsys):
-    path = tmp_path / "w.txt"
+    path, csv_path = tmp_path / "w.txt", tmp_path / "row.csv"
     save_graphon(plant_violation(toeplitz_decay(6, seed=4), 0.3, seed=4)[0], path)
-    code, rep = run_json(["recover", "--in", str(path), "--bounded"], capsys)
+    code, rep = run_json(["recover", "--in", str(path), "--bounded",
+                          "--out-csv", str(csv_path)], capsys)
     assert code == 0
     assert rep["p"] == "inf" and rep["caseTaken"] == "bounded-corollary"
+    # no cutoff on this route: its CSV fields are empty
+    assert rep["M"] is None and rep["lambdaWM"] is None
+    header, row = csv_path.read_text().strip().split("\n")
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["p"] == "inf" and fields["M"] == "" and fields["lambdaWM"] == ""
     # the same route through the config hook
     code, rep = run_json(["recover", "--in", str(path),
                           "--config", '{"p": "inf"}'], capsys)
     assert code == 0 and rep["p"] == "inf"
+
+
+def test_cli_recover_takes_p_or_bounded_not_both(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    save_graphon(toeplitz_decay(6, seed=4), path)
+    for both in (["--bounded", "--p", "6"], ["--p", "6", "--bounded"]):
+        assert cli.main(["recover", "--in", str(path)] + both) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_cli_recover_p_minus_inf_is_not_the_bounded_route(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    save_graphon(toeplitz_decay(6, seed=4), path)
+    for args in (["--p=-inf"], ["--config", json.dumps({"p": -math.inf})]):
+        assert cli.main(["recover", "--in", str(path)] + args) == 1
+        assert "norm index p must exceed 5" in capsys.readouterr().err
 
 
 def test_cli_regions_report(tmp_path, capsys):
@@ -372,6 +397,8 @@ def test_cli_config_handling(tmp_path, capsys):
     assert cli.main(["lambda", "--in", str(path),
                      "--config", "@" + str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+    assert cli.main(["lambda", "--in", str(path), "--config", "[1, 2]"]) == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_cli_refinement_must_be_at_least_one(tmp_path, capsys):
