@@ -208,30 +208,89 @@ def _start_table(q, restarts, rng):
             np.concatenate([t2[pair, None] + np.arange(q // 3), rest_c]))
 
 
+def _start_caps(v, t2, s, k):
+    """Cap on the value each start (t2[i], s[i], k[i]) can reach, plus slack.
+
+    A start keeps A in [0, s), B in [s, t2) and C in [t2, q), so its value
+    sum_{j in C} (sum_{i in A} v_ij - sum_{i in B} v_ij) is at most the sum
+    of the k largest h_j over j >= t2, with h_j the sum of the k largest
+    entries of v[:s, j] minus the sum of the k smallest of v[s:t2, j].  Per
+    t2, one masked sort of v[:t2, t2:] over its splits s and cumulative sums
+    give h for every (s, k).
+
+    The slack covers rounding.  n numbers of size at most M = max|v|, added
+    in any order, land within n^2 M eps / 2 of their exact sum (to first
+    order).  A start's value adds 2k^2 entries (k^2 per box): within
+    2k^4 M eps.  Each h_j adds 2k entries: within 2k^2 M eps, so taking the
+    k largest rounded h_j loses at most 2k^3 M eps, and adding them at most
+    k^3 M eps more.  The slack 8k^4 M eps covers the three.
+    """
+    cap = np.empty(len(k))
+    for tt in np.unique(t2).tolist():
+        idx = np.flatnonzero(t2 == tt)
+        splits, row = np.unique(s[idx], return_inverse=True)
+        lo, hi = int(splits[0]), int(splits[-1])
+        kk = k[idx]
+        block = v[:tt, tt:].T                         # column j >= t2 as a row
+        # ascending per split and column: top holds minus rows [0, s), bot rows [s, t2)
+        top = np.where(np.arange(hi) < splits[:, None, None], -block[:, :hi], np.inf)
+        bot = np.where(np.arange(lo, tt) < splits[:, None, None], np.inf, block[:, lo:])
+        top.sort(axis=2)
+        bot.sort(axis=2)
+        km = int(kk.max())
+        # -h for every (split, column, k); pairs off a side's size read +inf
+        h = np.cumsum(top[..., :km] + bot[..., :km], axis=2)
+        h = np.sort(h[row, :, kk - 1], axis=1).cumsum(axis=1)
+        cap[idx] = -h[np.arange(len(idx)), kk - 1]
+    return cap + 8.0 * k.astype(float) ** 4 * np.finfo(float).eps * np.abs(v).max()
+
+
 def _term_max_heuristic(v, q, restarts, rng):
     """Lower-bound search for the left term: boundary sweep + alternation.
 
     Every start (swept splits with consecutive C blocks, then seeded random
     restarts) is improved by alternating best responses; the first start in
-    that order to reach the largest value wins.  Starts of equal block size
-    run together, in chunks of about 1 MB of gathered rows.
+    that order to reach the largest value wins.  Starts of one block size
+    run together, in chunks of about 1 MB of gathered rows.  The restarts
+    run first.  Then, while some swept start's cap (``_start_caps``) reaches
+    the best value so far, the block size of the largest such cap runs a
+    chunk of its largest-capped starts.  A start left over has a cap below
+    that value, so it can neither beat nor tie it: the winner is the one the
+    full search would find.
     """
     if q < 3:
         return None, None
     t2, s, k, c = _start_table(q, restarts, rng)
-    values = np.empty(len(k))
-    leaders = {}   # index of each chunk's first best start -> its triple
-    # values and leaders are indexed by start: the group order cannot change the winner
-    for kk in np.unique(k).tolist():
-        idx = np.flatnonzero(k == kk)
-        step = max(1, (1 << 17) // (kk * q))
-        for lo in range(0, len(idx), step):
-            chunk = idx[lo:lo + step]
-            best, trip = _alternate(v, t2[chunk], s[chunk], c[chunk, :kk], kk)
-            values[chunk] = best
-            m = int(np.argmax(best))
-            leaders[int(chunk[m])] = tuple(tuple(int(i) for i in part[m]) for part in trip)
-    best_trip = leaders[int(np.argmax(values))]
+    lead = (-np.inf, len(k), None)   # the best value so far, its first start, its triple
+
+    def size(kk):
+        return max(1, (1 << 17) // (kk * q))
+
+    def run(chunk, kk):
+        nonlocal lead
+        chunk = np.sort(chunk)
+        best, trip = _alternate(v, t2[chunk], s[chunk], c[chunk, :kk], kk)
+        m = int(np.argmax(best))   # the chunk's first best start
+        if (best[m], -chunk[m]) > (lead[0], -lead[1]):
+            lead = best[m], int(chunk[m]), trip[:, m]
+
+    swept = len(k) - restarts
+    for kk in np.unique(k[swept:]).tolist():
+        idx = swept + np.flatnonzero(k[swept:] == kk)
+        for lo in range(0, len(idx), size(kk)):
+            run(idx[lo:lo + size(kk)], kk)
+    cap = _start_caps(v, t2[:swept], s[:swept], k[:swept])
+    left = np.ones(swept, dtype=bool)
+    while True:
+        idx = np.flatnonzero(left & (cap >= lead[0]))
+        if not len(idx):
+            break
+        kk = int(k[idx[np.argmax(cap[idx])]])
+        idx = idx[k[idx] == kk]
+        chunk = idx[np.argsort(-cap[idx], kind="stable")[:size(kk)]]
+        run(chunk, kk)
+        left[chunk] = False
+    best_trip = tuple(tuple(int(i) for i in part) for part in lead[2])
     return _triple_value(v, *best_trip, q=q, right=False), best_trip
 
 

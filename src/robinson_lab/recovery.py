@@ -66,6 +66,8 @@ def theoretical_bound(p, lam: float, inf_norm: Optional[float] = None) -> float:
         raise ValueError("deviation must be >= 0")
     if inf_norm is not None and not inf_norm >= 0:
         raise ValueError("inf_norm must be >= 0")
+    if p != math.inf and not float(p) > 5:
+        raise ValueError("norm index must exceed 5")
     if lam == 0:
         return 0.0
     if p == math.inf:
@@ -73,8 +75,6 @@ def theoretical_bound(p, lam: float, inf_norm: Optional[float] = None) -> float:
             return 44.0 * lam ** 0.2
         return 44.0 * inf_norm ** 0.8 * lam ** 0.2
     p = float(p)
-    if not p > 5:
-        raise ValueError("norm index must exceed 5")
     return 78.0 * lam ** ((p - 5.0) / (5.0 * p - 5.0))
 
 

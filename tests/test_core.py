@@ -476,6 +476,9 @@ def _nan_cases():
         "is_robinson tol": (lambda: is_robinson(planted, tol=nan), "tol must be >= 0"),
         "lp_norm p": (lambda: lp_norm(w, nan), "p must be >= 1"),
         "theoretical_bound p": (lambda: rl.theoretical_bound(nan, 0.1), "norm index must exceed 5"),
+        "theoretical_bound p at zero": (lambda: rl.theoretical_bound(nan, 0.0), "norm index must exceed 5"),
+        "theoretical_bound p below 5 at zero":
+            (lambda: rl.theoretical_bound(3, 0.0), "norm index must exceed 5"),
         "theoretical_bound lam": (lambda: rl.theoretical_bound(6.0, nan), "deviation must be >= 0"),
         "theoretical_bound inf_norm":
             (lambda: rl.theoretical_bound(math.inf, 0.1, inf_norm=nan), "inf_norm must be >= 0"),

@@ -17,6 +17,7 @@ from robinson_lab import (
     deviation_exact,
     deviation_heuristic,
     lp_norm,
+    refine,
     smooth_exp,
     toeplitz_decay,
 )
@@ -25,6 +26,7 @@ from robinson_lab.deviation import (
     _SWEEP_CAP,
     EXACT_DEVIATION_CAP,
     _pick,
+    _start_caps,
     _start_table,
     _triple_value,
 )
@@ -385,8 +387,17 @@ def test_a_start_stops_only_at_its_fixed_point():
     assert trip[:, 0].tolist() == [[4], [12], [20]]
 
 
+def _large_inputs():
+    """Where the caps prune most: noisy Toeplitz at q = 64 and 80 (r = 2),
+    and a three-valued kernel at q = 48, with many tied values and caps."""
+    for n in (32, 40):
+        yield refine(_noisy_toeplitz(n), 2).values, 50, 0
+    m = np.random.Generator(np.random.Philox(48)).integers(0, 3, (24, 24)).astype(float)
+    yield np.kron(np.triu(m) + np.triu(m, 1).T, np.ones((2, 2))), 20, 5
+
+
 def test_heuristic_search_matches_the_reference():
-    for v, restarts, seed in _search_inputs():
+    for v, restarts, seed in itertools.chain(_search_inputs(), _large_inputs()):
         q = v.shape[0]
         for u in (v, v[::-1, ::-1]):
             rng_new = np.random.Generator(np.random.Philox(seed))
@@ -395,6 +406,52 @@ def test_heuristic_search_matches_the_reference():
             ref_value, ref_trip = reference_term_max(u, q, restarts, rng_ref)
             assert (value, trip) == (ref_value, ref_trip)
             assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)
+
+
+# ---------------------------------------------------------------------------
+# the caps that prune the heuristic search
+
+def _cap_inputs():
+    """The search inputs and their reversals, plus rounded-decimal kernels:
+    there a value and its cap, equal in exact arithmetic, can round apart,
+    and the value then passes the cap without its slack."""
+    inputs = list(_search_inputs()) + list(_large_inputs())
+    rng = np.random.Generator(np.random.Philox(909))
+    for trial in range(12):
+        q = int(rng.integers(9, 30))
+        m = np.round(rng.uniform(0.0, 1.0, (q, q)), 1 + trial % 2)
+        inputs.append((StepGraphon(0.5 * (m + m.T)).values, 10, trial))
+    for v, restarts, seed in inputs:
+        yield v, restarts, seed
+        yield v[::-1, ::-1], restarts, seed
+
+
+def test_every_start_stays_under_its_cap():
+    for v, restarts, seed in _cap_inputs():
+        q = v.shape[0]
+        t2, s, k, c = _start_table(q, restarts, np.random.Generator(np.random.Philox(seed)))
+        cap = _start_caps(v, t2, s, k)   # swept starts and restarts alike
+        for kk in np.unique(k).tolist():
+            idx = np.flatnonzero(k == kk)
+            best, _ = deviation_module._alternate(v, t2[idx], s[idx], c[idx, :kk], kk)
+            assert np.all(best <= cap[idx])
+
+
+def test_the_caps_skip_most_starts_at_q80(monkeypatch):
+    rows = []
+    plain_alternate = deviation_module._alternate
+
+    def counted(v, t2, s, c, k):
+        rows.append(len(t2))
+        return plain_alternate(v, t2, s, c, k)
+
+    monkeypatch.setattr(deviation_module, "_alternate", counted)
+    v = refine(_noisy_toeplitz(40), 2).values
+    starts = len(_start_table(80, 50, np.random.Generator(np.random.Philox(0)))[2])
+    for u in (v, v[::-1, ::-1]):
+        rows.clear()
+        deviation_module._term_max_heuristic(u, 80, 50, np.random.Generator(np.random.Philox(0)))
+        assert 0 < sum(rows) < starts / 2
 
 
 def reference_triple_value(v, a_set, b_set, c_set, q, right):

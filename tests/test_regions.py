@@ -106,6 +106,64 @@ def test_partition_holds_and_corruption_is_caught():
     assert not verify_partition(corrupt("k_low", (0, 1), total + 1))   # low zone at the top
 
 
+def reference_verify_partition(rm):
+    """The audit with its in-loop zone checks, which the masks' construction
+    makes unfailable."""
+    tri = rm._triangle()
+    total = rm.total_levels
+    band_count = np.zeros(rm.raster * rm.raster, dtype=np.int64).reshape(rm.raster, -1)
+    grey_any = np.zeros_like(tri)
+    prev_high, prev_low = None, None
+    for k in range(0, total + 1):
+        high = rm.high_mask(k)
+        low = rm.low_mask(k)
+        if np.any(high & ~tri) or np.any(low & ~tri):
+            return False
+        if prev_high is not None and np.any(high & ~prev_high):
+            return False          # high zones must shrink as k grows
+        if prev_low is not None and np.any(prev_low & ~low):
+            return False          # low zones must grow
+        prev_high, prev_low = high, low
+        if k <= total - 1:
+            band_count += rm.band_mask(k)
+        if 1 <= k <= total - 1:
+            grey_any |= rm.grey_mask(k)
+    if not np.array_equal(rm.high_mask(0), tri) or np.any(rm.low_mask(0)):
+        return False
+    if not np.array_equal(rm.low_mask(total), tri):
+        return False
+    diag = np.arange(rm.raster)
+    if not np.all(rm.high_mask(total)[diag, diag]):
+        return False
+    one_band = band_count == 1
+    ok = (one_band & ~grey_any) | ((band_count == 0) & grey_any)
+    return bool(np.all(ok[tri])) and not np.any(band_count[~tri])
+
+
+def test_partition_audit_matches_the_reference_on_corrupted_maps():
+    rng = np.random.Generator(np.random.Philox(303))
+    maps = []
+    for _ in range(6):
+        w = random_nonneg(rng, int(rng.integers(2, 9)), hi=float(rng.uniform(0.5, 3.0)))
+        maps.append(compute_regions(w, m=int(rng.integers(1, 5)),
+                                    alpha=float(rng.uniform(0.06, 0.3)), raster=16))
+    verdicts = []
+    for trial in range(660):
+        rm = maps[trial % len(maps)]
+        total = rm.total_levels
+        fields = {"k_high": rm.k_high.copy(), "k_low": rm.k_low.copy()}
+        # corrupt 1 to 8 pixels of one or both level maps, anywhere on the
+        # raster, to levels from below 0 to above the top
+        for _ in range(int(rng.integers(1, 9))):
+            levels = fields[("k_high", "k_low")[int(rng.integers(0, 2))]]
+            levels[tuple(rng.integers(0, rm.raster, 2))] = int(rng.integers(-1, total + 2))
+        broken = dataclasses.replace(rm, **fields)
+        verdict = verify_partition(broken)
+        assert verdict == reference_verify_partition(broken)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)   # both verdicts occur
+
+
 def test_grey_square_guarantee():
     rng = np.random.Generator(np.random.Philox(302))
     for _ in range(20):
