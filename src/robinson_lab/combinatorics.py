@@ -242,8 +242,9 @@ def pigeonhole_shrink(f: StepGraphon, rows: CellSet, cols: CellSet, alpha: float
         raise ValueError("empty cell set")
     if len(cols.indices) != k:
         raise ValueError("cell sets must have equal measure")
-    l = int(round(alpha * k))
-    if abs(l - alpha * k) > 1e-9 or not 1 <= l <= k:
+    share = alpha * k
+    l = int(round(share)) if math.isfinite(share) else 0
+    if abs(l - share) > 1e-9 or not 1 <= l <= k:
         raise ValueError("alpha*|set| must be a whole number of cells in [1, |set|]")
 
     b = f.values[np.ix_(rows.as_array(), cols.as_array())] / (q * q)

@@ -250,45 +250,30 @@ def _term_max_heuristic(v, q, restarts, rng):
 
     Every start (swept splits with consecutive C blocks, then seeded random
     restarts) is improved by alternating best responses; the first start in
-    that order to reach the largest value wins.  Starts of one block size
-    run together, in chunks of about 1 MB of gathered rows.  The restarts
-    run first.  Then, while some swept start's cap (``_start_caps``) reaches
-    the best value so far, the block size of the largest such cap runs a
-    chunk of its largest-capped starts.  A start left over has a cap below
-    that value, so it can neither beat nor tie it: the winner is the one the
-    full search would find.
+    that order to reach the largest value wins.  While some start's cap
+    (``_start_caps``) reaches the best value so far, the block size of the
+    largest such cap runs a chunk of its largest-capped starts together,
+    about 1 MB of gathered rows.  A start left over has a cap below that
+    value, so it can neither beat nor tie it: the winner is the one the full
+    search would find.
     """
     if q < 3:
         return None, None
     t2, s, k, c = _start_table(q, restarts, rng)
+    cap = _start_caps(v, t2, s, k)
+    left = np.ones(len(k), dtype=bool)
     lead = (-np.inf, len(k), None)   # the best value so far, its first start, its triple
-
-    def size(kk):
-        return max(1, (1 << 17) // (kk * q))
-
-    def run(chunk, kk):
-        nonlocal lead
-        chunk = np.sort(chunk)
-        best, trip = _alternate(v, t2[chunk], s[chunk], c[chunk, :kk], kk)
-        m = int(np.argmax(best))   # the chunk's first best start
-        if (best[m], -chunk[m]) > (lead[0], -lead[1]):
-            lead = best[m], int(chunk[m]), trip[:, m]
-
-    swept = len(k) - restarts
-    for kk in np.unique(k[swept:]).tolist():
-        idx = swept + np.flatnonzero(k[swept:] == kk)
-        for lo in range(0, len(idx), size(kk)):
-            run(idx[lo:lo + size(kk)], kk)
-    cap = _start_caps(v, t2[:swept], s[:swept], k[:swept])
-    left = np.ones(swept, dtype=bool)
     while True:
         idx = np.flatnonzero(left & (cap >= lead[0]))
         if not len(idx):
             break
         kk = int(k[idx[np.argmax(cap[idx])]])
         idx = idx[k[idx] == kk]
-        chunk = idx[np.argsort(-cap[idx], kind="stable")[:size(kk)]]
-        run(chunk, kk)
+        chunk = np.sort(idx[np.argsort(-cap[idx], kind="stable")[:max(1, (1 << 17) // (kk * q))]])
+        best, trip = _alternate(v, t2[chunk], s[chunk], c[chunk, :kk], kk)
+        m = int(np.argmax(best))   # the chunk's first best start
+        if (best[m], -chunk[m]) > (lead[0], -lead[1]):
+            lead = best[m], int(chunk[m]), trip[:, m]
         left[chunk] = False
     best_trip = tuple(tuple(int(i) for i in part) for part in lead[2])
     return _triple_value(v, *best_trip, q=q, right=False), best_trip

@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StepGraphon, _seed, _whole_number, cutoff, is_robinson, lp_norm, refine
+from .core import (MAX_REFINED_CELLS, StepGraphon, _seed, _whole_number, cutoff, is_robinson,
+                   lp_norm, refine)
 from .cutnorm import DEFAULT_DISPATCH_CAP, cut_norm
 from .deviation import EXACT_DEVIATION_CAP, DeviationCertificate, deviation_exact, deviation_heuristic
 from .approx import RobinsonApprox, _grid_size, robinson_approx
@@ -227,6 +228,10 @@ def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
         approx = robinson_approx(w, 0.0)
         err, err_exact = 0.0, True
     else:
+        common = math.lcm(w.n, g)
+        if common > MAX_REFINED_CELLS:
+            raise ValueError("grid_n=%d and n=%d measure the error on a common grid of %d cells,"
+                             " above the cap %d" % (g, w.n, common, MAX_REFINED_CELLS))
         t0 = time.perf_counter()
         approx = robinson_approx(wn, alpha, grid_n=g)
         if scale != 1.0:

@@ -1,6 +1,7 @@
 """Core container, file format, norms, stepping, cut-off, shape check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -472,6 +473,8 @@ def _nan_cases():
     planted, _ = rl.plant_violation(w, 0.4, seed=3)
     assert not is_robinson(planted).robinson
     nan = math.nan
+    cells = rl.CellSet(6, (0, 1, 2))
+    whole = re.escape("alpha*|set| must be a whole number of cells in [1, |set|]")
     return {
         "is_robinson tol": (lambda: is_robinson(planted, tol=nan), "tol must be >= 0"),
         "lp_norm p": (lambda: lp_norm(w, nan), "p must be >= 1"),
@@ -491,6 +494,9 @@ def _nan_cases():
         "IntervalSet upper end": (lambda: IntervalSet(((0.2, nan),)), "leaves"),
         "plant_violation gap": (lambda: rl.plant_violation(w, nan), "gap must be positive"),
         "smooth_exp rate": (lambda: rl.smooth_exp(4, rate=nan), "rate must be >= 0"),
+        "pigeonhole_shrink alpha": (lambda: rl.pigeonhole_shrink(w, cells, cells, nan), whole),
+        "pigeonhole_shrink infinite alpha":
+            (lambda: rl.pigeonhole_shrink(w, cells, cells, math.inf), whole),
     }
 
 

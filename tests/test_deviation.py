@@ -314,7 +314,7 @@ def reference_term_max(v, q, restarts, rng):
 
 
 def _search_inputs():
-    """Random, three-valued (many ties) and noisy Toeplitz kernels at r = 1, 2, 3."""
+    """Random, five-valued (many ties) and noisy Toeplitz kernels at r = 1, 2, 3."""
     rng = np.random.Generator(np.random.Philox(606))
     for trial in range(18):
         n = int(rng.integers(3, 16))
@@ -378,7 +378,7 @@ def test_lockstep_loop_matches_the_reference(monkeypatch):
 
 
 def test_a_start_stops_only_at_its_fixed_point():
-    # three-valued kernel, many ties: the second round keeps the value 1.0 with
+    # five-valued kernel, many ties: the second round keeps the value 1.0 with
     # a new C, and only the third, a fixed point, reaches 1.5
     v = next(itertools.islice(_search_inputs(), 1, None))[0][::-1, ::-1]
     best, trip = deviation_module._alternate(v, np.array([13]), np.array([12]),
@@ -397,7 +397,10 @@ def _large_inputs():
 
 
 def test_heuristic_search_matches_the_reference():
-    for v, restarts, seed in itertools.chain(_search_inputs(), _large_inputs()):
+    # restart-heavy and restart-free searches: capped restarts against running them all
+    extra = [(refine(_noisy_toeplitz(32), 2).values, 200, 3),
+             (refine(_noisy_toeplitz(40), 2).values, 0, 0)]
+    for v, restarts, seed in itertools.chain(_search_inputs(), _large_inputs(), extra):
         q = v.shape[0]
         for u in (v, v[::-1, ::-1]):
             rng_new = np.random.Generator(np.random.Philox(seed))
@@ -452,6 +455,26 @@ def test_the_caps_skip_most_starts_at_q80(monkeypatch):
         rows.clear()
         deviation_module._term_max_heuristic(u, 80, 50, np.random.Generator(np.random.Philox(0)))
         assert 0 < sum(rows) < starts / 2
+
+
+def test_the_caps_skip_most_restarts_at_q80(monkeypatch):
+    runs = []
+    plain_alternate = deviation_module._alternate
+
+    def counted(v, t2, s, c, k):
+        runs.extend(zip(t2.tolist(), s.tolist(), map(tuple, c.tolist())))
+        return plain_alternate(v, t2, s, c, k)
+
+    monkeypatch.setattr(deviation_module, "_alternate", counted)
+    t2, s, k, c = _start_table(80, 50, np.random.Generator(np.random.Philox(0)))
+    rows = [(int(t2[i]), int(s[i]), tuple(c[i, :k[i]].tolist())) for i in range(len(k))]
+    restarts = set(rows[-50:])
+    assert len(restarts - set(rows[:-50])) == 50   # each restart is told apart by its row
+    v = refine(_noisy_toeplitz(40), 2).values
+    for u in (v, v[::-1, ::-1]):
+        runs.clear()
+        deviation_module._term_max_heuristic(u, 80, 50, np.random.Generator(np.random.Philox(0)))
+        assert sum(row in restarts for row in runs) < 25   # capped like the swept starts
 
 
 def reference_triple_value(v, a_set, b_set, c_set, q, right):
@@ -521,7 +544,7 @@ def reference_term_max_exact(v, q):
 
 
 def test_exact_split_scan_matches_the_per_split_reference():
-    # random, three-valued (ties), rounded and refined kernels up to q = 18
+    # random, five-valued (ties), rounded and refined kernels up to q = 18
     rng = np.random.Generator(np.random.Philox(808))
     for trial in range(48):
         q = int(rng.integers(2, 19))

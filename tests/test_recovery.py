@@ -274,6 +274,20 @@ def test_identity_path_reports_an_ignored_grid():
         assert rep.warning == "grid_n=4 ignored: a zero deviation returns the 6x6 input itself"
 
 
+OVERSIZE = ("grid_n=1023 and n=16 measure the error on a common grid of 16368 cells,"
+            " above the cap 2048")
+
+
+def test_an_oversize_common_grid_fails_before_the_approximation(monkeypatch):
+    calls = []
+    monkeypatch.setattr("robinson_lab.recovery.robinson_approx", lambda *a, **k: calls.append(a))
+    w, _ = plant_violation(toeplitz_decay(16, seed=1), 0.3, seed=1)
+    for route in (lambda **k: recover(w, p=6.0, **k), lambda **k: recover_bounded(w, **k)):
+        with pytest.raises(ValueError, match=OVERSIZE):
+            route(grid_n=1023)
+    assert calls == []
+
+
 def test_recover_clamps_width_below_one(monkeypatch):
     monkeypatch.setattr("robinson_lab.recovery.estimate_deviation",
                         lambda *a, **k: fixed_certificate(5.0))

@@ -289,6 +289,16 @@ def test_cli_grid_n_must_be_a_positive_integer(tmp_path, capsys, bad):
     assert "grid_n must be 8, not 4" in capsys.readouterr().err
 
 
+def test_cli_recover_rejects_an_oversize_common_grid(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    save_graphon(plant_violation(toeplitz_decay(16, seed=1), 0.3, seed=1)[0], path)
+    for route in (["recover"], ["recover", "--bounded"]):
+        assert cli.main(route + ["--in", str(path), "--grid", "1023"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid_n=1023 and n=16 measure the error on a common grid" in captured.err
+
+
 def test_cli_recover_json_and_csv(tmp_path, capsys):
     path = tmp_path / "w.txt"
     w, _ = plant_violation(toeplitz_decay(6, seed=4), 0.3, seed=4)
