@@ -201,8 +201,14 @@ def lp_norm(w: StepGraphon, p) -> float:
     a = np.abs(w.values)
     if np.isinf(p):
         return float(a.max())
-    # integral of |w|^p is the cell average of |values|^p
-    return float(np.mean(a ** p) ** (1.0 / p))
+    # integral of |w|^p is the cell average of |values|^p; where that
+    # overflows or underflows, scale by the largest value first
+    with np.errstate(over="ignore", under="ignore"):
+        mean = np.mean(a ** p)
+        if np.finfo(float).tiny <= mean < np.inf:
+            return float(mean ** (1.0 / p))
+        top = a.max()
+        return float(top * np.mean((a / top) ** p) ** (1.0 / p)) if top else 0.0
 
 
 def refine(w: StepGraphon, r: int) -> StepGraphon:

@@ -57,59 +57,15 @@ def _triple_value(v, a_set, b_set, c_set, q, right):
     return math.fsum(np.concatenate([v[np.ix_(a, c)].ravel(), -near.ravel()]).tolist()) / (q * q)
 
 
-def _term_max_exact(v, q):
-    """Maximise box(A,C) - box(B,C) over all triples A < B < C, |A|=|B|=|C|.
-
-    C is enumerated stratified by (min C, size); for each C the optimal A and
-    B are read off the per-row sums f(i) = sum_{j in C} v[i, j]: A takes the
-    k largest f-values left of a split, B the k smallest between split and
-    min C.  Scanning every split is exhaustive because any admissible (A, B)
-    is separated by s = min B.  All splits of one (min C, size) run as one
-    (splits, combos, t2) array, masked with -inf (A) or +inf (B) outside each
-    split's side; the first best split, then the first best combo, wins.
-    """
-    best_key = None      # tracked np value
-    best_info = None     # (t2, k, s, combo tuple)
-    for t2 in range(2, q):
-        tail = q - t2 - 1
-        for k in range(1, min(t2 // 2, tail + 1) + 1):
-            combos = list(itertools.combinations(range(t2 + 1, q), k - 1))
-            carr = np.asarray(combos, dtype=np.intp).reshape(len(combos), k - 1)
-            f = np.repeat(v[t2, :t2][None, :], len(combos), axis=0)
-            if k > 1:
-                onehot = np.zeros((len(combos), tail), dtype=np.float64)
-                onehot[np.arange(len(combos))[:, None], carr - (t2 + 1)] = 1.0
-                f += onehot @ v[t2 + 1:, :t2]
-            splits = np.arange(k, t2 - k + 1)
-            in_a = np.arange(t2) < splits[:, None, None]
-            top_a = np.sort(np.partition(np.where(in_a, f, -np.inf), t2 - k, axis=2)[..., t2 - k:],
-                            axis=2).sum(axis=2)
-            bot_b = np.sort(np.partition(np.where(in_a, np.inf, f), k - 1, axis=2)[..., :k],
-                            axis=2).sum(axis=2)
-            vals = top_a - bot_b
-            i, m = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            if best_key is None or vals[i, m] > best_key:
-                best_key = float(vals[i, m])
-                best_info = (t2, k, int(splits[i]), combos[m])
-    if best_info is None:
-        return None, None
-    t2, k, s, combo = best_info
-    c_set = (t2,) + combo
-    f = v[list(c_set), :t2].sum(axis=0)
-    a_set = tuple(sorted(int(i) for i in np.argsort(-f[:s], kind="stable")[:k]))
-    b_set = tuple(sorted(int(i) + s for i in np.argsort(f[s:t2], kind="stable")[:k]))
-    return _triple_value(v, a_set, b_set, c_set, q, right=False), (a_set, b_set, c_set)
-
-
-def _certificate(w, r, mode, term_max, *args):
+def _certificate(w, r, mode, table):
     """The skeleton of both solvers: refine ``w`` r times per axis, maximise
-    the left term with ``term_max(v, q, *args)`` on v and on v reflected
+    the left term with ``_term_max(v, q, table)`` on v and on v reflected
     (the right term, by symmetry), reflect that witness back, and floor."""
     q = w.n * r
     v = refine(w, r).values
     terms = []
     for flip, u in enumerate((v, v[::-1, ::-1])):
-        t, wit = term_max(u, q, *args)
+        t, wit = _term_max(u, q, table)
         # flooring = choosing the empty triple, so negative witnesses are dropped
         if t is None or t < 0.0:
             terms += [0.0, None]
@@ -128,6 +84,12 @@ def _certificate(w, r, mode, term_max, *args):
 def deviation_exact(w: StepGraphon, refinement: int = 1) -> DeviationCertificate:
     """Exact Robinson deviation on the refined cell grid.
 
+    The heuristic's search, started from every C (``_exact_table``).  For
+    any triple A < B < C the start (min C, min B, |C|, C) answers C with
+    the best A and B, and later rounds never lower the value, so the best
+    start reaches the maximum, up to the float ranking of exact ties.  The
+    first start in table order with the largest value wins.
+
     :param w: step graphon
     :param refinement: split every cell this many times per axis before
         enumerating; the grid size n*refinement must stay <= 15
@@ -135,7 +97,8 @@ def deviation_exact(w: StepGraphon, refinement: int = 1) -> DeviationCertificate
     r = _whole_number(refinement, 1, "refinement must be >= 1")
     if w.n * r > EXACT_DEVIATION_CAP:
         raise ValueError("refined grid %d exceeds exact cap %d" % (w.n * r, EXACT_DEVIATION_CAP))
-    return _certificate(w, r, "exact", _term_max_exact)
+    table = _exact_table(w.n * r)   # both terms search the same starts
+    return _certificate(w, r, "exact", lambda q: table)
 
 
 def _pick(key, k):
@@ -208,6 +171,20 @@ def _start_table(q, restarts, rng):
             np.concatenate([t2[pair, None] + np.arange(q // 3), rest_c]))
 
 
+def _exact_table(q):
+    """Every start of the exact left-term search, laid out as ``_start_table``:
+    each split t2 = min C, block size k, split s with k <= s <= t2 - k and
+    C, which is t2 and k - 1 columns right of it, in (t2, k, s, C) order with
+    C in ``itertools.combinations`` order.
+    """
+    rows = np.array([(t2, s, k, t2) + rest + (0,) * (q // 3 - k)
+                     for t2 in range(2, q) for k in range(1, min(t2 // 2, q - t2) + 1)
+                     for s in range(k, t2 - k + 1)
+                     for rest in itertools.combinations(range(t2 + 1, q), k - 1)],
+                    dtype=np.intp).reshape(-1, 3 + q // 3)
+    return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:]
+
+
 def _start_caps(v, t2, s, k):
     """Cap on the value each start (t2[i], s[i], k[i]) can reach, plus slack.
 
@@ -226,9 +203,10 @@ def _start_caps(v, t2, s, k):
     k^3 M eps more.  The slack 8k^4 M eps covers the three.
     """
     cap = np.empty(len(k))
-    for tt in np.unique(t2).tolist():
+    for tt in sorted(set(t2.tolist())):
         idx = np.flatnonzero(t2 == tt)
-        splits, row = np.unique(s[idx], return_inverse=True)
+        splits = np.unique(s[idx])
+        row = np.searchsorted(splits, s[idx])
         lo, hi = int(splits[0]), int(splits[-1])
         kk = k[idx]
         block = v[:tt, tt:].T                         # column j >= t2 as a row
@@ -245,21 +223,22 @@ def _start_caps(v, t2, s, k):
     return cap + 8.0 * k.astype(float) ** 4 * np.finfo(float).eps * np.abs(v).max()
 
 
-def _term_max_heuristic(v, q, restarts, rng):
-    """Lower-bound search for the left term: boundary sweep + alternation.
+def _term_max(v, q, table):
+    """Search for the left term over the starts ``table(q)`` returns.
 
-    Every start (swept splits with consecutive C blocks, then seeded random
-    restarts) is improved by alternating best responses; the first start in
-    that order to reach the largest value wins.  While some start's cap
-    (``_start_caps``) reaches the best value so far, the block size of the
-    largest such cap runs a chunk of its largest-capped starts together,
-    about 1 MB of gathered rows.  A start left over has a cap below that
-    value, so it can neither beat nor tie it: the winner is the one the full
-    search would find.
+    Every start (for the heuristic, swept splits with consecutive C blocks,
+    then seeded random restarts; for the exact solver, every C) is improved
+    by alternating best responses; the first start in table order to reach
+    the largest value wins.  While some start's cap (``_start_caps``)
+    reaches the best value so far, the block size of the largest such cap
+    runs a chunk of its largest-capped starts together, about 1 MB of
+    gathered rows.  A start left over has a cap below that value, so it can
+    neither beat nor tie it: the winner is the one the full search would
+    find.
     """
     if q < 3:
         return None, None
-    t2, s, k, c = _start_table(q, restarts, rng)
+    t2, s, k, c = table(q)
     cap = _start_caps(v, t2, s, k)
     left = np.ones(len(k), dtype=bool)
     lead = (-np.inf, len(k), None)   # the best value so far, its first start, its triple
@@ -290,4 +269,5 @@ def deviation_heuristic(w: StepGraphon, refinement: int = 1,
     """
     r = _whole_number(refinement, 1, "refinement must be >= 1")
     restarts = _whole_number(restarts, 0, "restarts must be >= 0")
-    return _certificate(w, r, "heuristic", _term_max_heuristic, restarts, _rng(seed))
+    rng = _rng(seed)
+    return _certificate(w, r, "heuristic", lambda q: _start_table(q, restarts, rng))

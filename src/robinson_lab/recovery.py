@@ -171,9 +171,14 @@ def measured_cut_error(w: StepGraphon, approx: RobinsonApprox,
 
 def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
               seed: int, cutnorm_cap: int):
-    """The recovery recipe both routes share: normalize (finite p only),
-    estimate, identity or fallback, width, approximate, measure.  Only the
-    width is route-specific.  ``g`` is the validated grid size."""
+    """The recovery recipe both routes share: check the common grid,
+    normalize (finite p only), estimate, identity or fallback, width,
+    approximate, measure.  Only the width is route-specific.  ``g`` is the
+    validated grid size."""
+    common = math.lcm(w.n, g)
+    if common > MAX_REFINED_CELLS:
+        raise ValueError("grid_n=%d and n=%d measure the error on a common grid of %d cells,"
+                         " above the cap %d" % (g, w.n, common, MAX_REFINED_CELLS))
     finite = not math.isinf(p)
     timings = {}
     scale, wn = 1.0, w
@@ -228,10 +233,6 @@ def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
         approx = robinson_approx(w, 0.0)
         err, err_exact = 0.0, True
     else:
-        common = math.lcm(w.n, g)
-        if common > MAX_REFINED_CELLS:
-            raise ValueError("grid_n=%d and n=%d measure the error on a common grid of %d cells,"
-                             " above the cap %d" % (g, w.n, common, MAX_REFINED_CELLS))
         t0 = time.perf_counter()
         approx = robinson_approx(wn, alpha, grid_n=g)
         if scale != 1.0:
@@ -273,6 +274,9 @@ def recover(w: StepGraphon, p: float = 6.0, refinement: int = 2,
     estimator can return zero on a non-Robinson matrix: the heuristic may
     miss a violation, and the exact one enumerates only the r-refined
     lattice, which at r = 1 cannot see a violation inside one cell.
+
+    A ``grid_n`` whose common grid with n exceeds MAX_REFINED_CELLS raises
+    before any search, on every path.
     """
     p = float(p)
     if p == math.inf:

@@ -96,8 +96,9 @@ def _noise_matrix(w: StepGraphon, kind: str, magnitude: float, rng,
         upper = magnitude * np.bincount(pick, minlength=iu[0].size)
     elif kind == "sign_flip":
         # magnitude acts as the per-cell flip probability here
-        prob = min(max(magnitude, 0.0), 1.0)
-        upper = -2.0 * (rng.random(iu[0].size) < prob) * w.values[iu]
+        if magnitude > 1.0:
+            raise ValueError("sign_flip magnitude is a flip probability; must be <= 1")
+        upper = -2.0 * (rng.random(iu[0].size) < magnitude) * w.values[iu]
     else:
         raise ValueError(f"unknown noise kind {kind!r}; expected one of {_NOISE_KINDS}")
     noise = np.empty((w.n, w.n))
@@ -120,7 +121,8 @@ def add_noise(
     ``(w.n, kind, seed)`` (plus ``spike_density`` for ``sparse_spikes``) — for
     ``uniform_bounded`` and ``sparse_spikes`` the noise is ``magnitude`` times
     a fixed unit pattern, so every reported norm scales linearly with
-    ``magnitude``.
+    ``magnitude``.  For ``sign_flip`` it is the per-cell flip probability,
+    at most 1.
     """
     if not magnitude >= 0:
         raise ValueError("magnitude must be >= 0")

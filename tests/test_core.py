@@ -194,6 +194,11 @@ def test_lp_norm_hand_values():
     assert lp_norm(w, np.inf) == 2.0
     with pytest.raises(ValueError):
         lp_norm(w, 0.5)
+    # |values|^p overflows (10^600, 2^1e6) or underflows (1e-360): scaled by the max
+    assert lp_norm(5.0 * w, 600) == pytest.approx(10.0 * 4.0 ** (-1.0 / 600), rel=1e-14)
+    assert lp_norm(w, 1e6) == pytest.approx(2.0 * 4.0 ** -1e-6, rel=1e-14)
+    assert lp_norm(1e-60 * w, 6) == pytest.approx(2e-60 * 4.0 ** (-1.0 / 6), rel=1e-14, abs=0.0)
+    assert lp_norm(0.0 * w, 6) == 0.0
 
 
 @seed(11)

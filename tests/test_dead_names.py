@@ -1,8 +1,9 @@
 """Dead names in the library: imports a module never reads, function
-locals assigned but never read, and private module-level functions that no
-library module names.  A small stand-in for pyflakes, built on ``ast``
-alone.  ``__init__.py`` (re-exports), ``from __future__ import
-annotations`` and the name ``_`` are exempt from the first two checks.
+locals assigned but never read, and private module-level functions and
+constants that no library module names.  A small stand-in for pyflakes,
+built on ``ast`` alone.  ``__init__.py`` (re-exports), ``from __future__
+import annotations`` and the name ``_`` are exempt from the first two
+checks.
 """
 
 import ast
@@ -84,17 +85,33 @@ def _names(tree, skip):
     return names
 
 
-def unreferenced_private_functions(trees):
-    """(module, line, name) of every private module-level function that no
-    tree in ``trees`` (a module name -> tree map) names outside its own body."""
+def _unreferenced(trees, bound):
+    """(module, line, name) of every private name that ``bound(stmt)`` lists
+    for a module-level statement and that no tree in ``trees`` (a module
+    name -> tree map) names outside that statement."""
     found = []
     for module, tree in trees.items():
         for stmt in tree.body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt.name.startswith("_") and not stmt.name.startswith("__")
-                    and not any(stmt.name in _names(t, stmt) for t in trees.values())):
-                found.append((module, stmt.lineno, stmt.name))
+            for name in bound(stmt):
+                if (name.startswith("_") and not name.startswith("__")
+                        and not any(name in _names(t, stmt) for t in trees.values())):
+                    found.append((module, stmt.lineno, name))
     return found
+
+
+def unreferenced_private_functions(trees):
+    """Private module-level functions named nowhere outside their own body."""
+    return _unreferenced(trees, lambda stmt: [stmt.name] if isinstance(
+        stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else [])
+
+
+def unreferenced_private_constants(trees):
+    """Private module-level constants named nowhere outside their assignment."""
+    def targets(stmt):
+        nodes = (stmt.targets if isinstance(stmt, ast.Assign)
+                 else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        return [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return _unreferenced(trees, targets)
 
 
 def test_the_checker_finds_both_kinds():
@@ -148,3 +165,28 @@ def test_every_private_function_is_named_by_the_library():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
              for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_functions(trees) == []
+
+
+def test_the_checker_finds_unreferenced_private_constants():
+    trees = {
+        "a": ast.parse(
+            "_READ_HERE = 1\n"
+            "_IMPORTED, _DEAD = 2, 3\n"
+            "_ANNOTATED: int = 4\n"
+            "_BY_ATTRIBUTE = 5\n"
+            "__version__ = '1'\n"
+            "PUBLIC = 6\n"
+            "def f():\n"
+            "    return _READ_HERE\n"),
+        "b": ast.parse(
+            "import a\n"
+            "from a import _IMPORTED\n"
+            "x = a._BY_ATTRIBUTE\n"),
+    }
+    assert unreferenced_private_constants(trees) == [("a", 2, "_DEAD"), ("a", 3, "_ANNOTATED")]
+
+
+def test_every_private_constant_is_read_by_the_library():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_constants(trees) == []

@@ -25,6 +25,7 @@ from robinson_lab import deviation as deviation_module
 from robinson_lab.deviation import (
     _SWEEP_CAP,
     EXACT_DEVIATION_CAP,
+    _exact_table,
     _pick,
     _start_caps,
     _start_table,
@@ -405,7 +406,8 @@ def test_heuristic_search_matches_the_reference():
         for u in (v, v[::-1, ::-1]):
             rng_new = np.random.Generator(np.random.Philox(seed))
             rng_ref = np.random.Generator(np.random.Philox(seed))
-            value, trip = deviation_module._term_max_heuristic(u, q, restarts, rng_new)
+            value, trip = deviation_module._term_max(
+                u, q, lambda q: _start_table(q, restarts, rng_new))
             ref_value, ref_trip = reference_term_max(u, q, restarts, rng_ref)
             assert (value, trip) == (ref_value, ref_trip)
             assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)
@@ -453,7 +455,8 @@ def test_the_caps_skip_most_starts_at_q80(monkeypatch):
     starts = len(_start_table(80, 50, np.random.Generator(np.random.Philox(0)))[2])
     for u in (v, v[::-1, ::-1]):
         rows.clear()
-        deviation_module._term_max_heuristic(u, 80, 50, np.random.Generator(np.random.Philox(0)))
+        rng = np.random.Generator(np.random.Philox(0))
+        deviation_module._term_max(u, 80, lambda q: _start_table(q, 50, rng))
         assert 0 < sum(rows) < starts / 2
 
 
@@ -473,7 +476,8 @@ def test_the_caps_skip_most_restarts_at_q80(monkeypatch):
     v = refine(_noisy_toeplitz(40), 2).values
     for u in (v, v[::-1, ::-1]):
         runs.clear()
-        deviation_module._term_max_heuristic(u, 80, 50, np.random.Generator(np.random.Philox(0)))
+        rng = np.random.Generator(np.random.Philox(0))
+        deviation_module._term_max(u, 80, lambda q: _start_table(q, 50, rng))
         assert sum(row in restarts for row in runs) < 25   # capped like the swept starts
 
 
@@ -508,7 +512,8 @@ def test_triple_value_matches_the_list_reference():
 
 
 def reference_term_max_exact(v, q):
-    """The per-split loop form of _term_max_exact."""
+    """The exact left term by a scan of every C and every split, in loops:
+    for each C the best A and B are read off the per-row sums over C."""
     best_key = None
     best_info = None
     for t2 in range(2, q):
@@ -543,7 +548,7 @@ def reference_term_max_exact(v, q):
     return _triple_value(v, a_set, b_set, c_set, q, right=False), (a_set, b_set, c_set)
 
 
-def test_exact_split_scan_matches_the_per_split_reference():
+def test_exact_search_matches_the_split_scan():
     # random, five-valued (ties), rounded and refined kernels up to q = 18
     rng = np.random.Generator(np.random.Philox(808))
     for trial in range(48):
@@ -560,4 +565,32 @@ def test_exact_split_scan_matches_the_per_split_reference():
             m = np.kron(rng.uniform(-1.0, 1.0, (h, h)), np.ones((2, 2)))[:q, :q]
         v = StepGraphon(0.5 * (m + m.T)).values
         for u in (v, v[::-1, ::-1]):
-            assert deviation_module._term_max_exact(u, q) == reference_term_max_exact(u, q)
+            value, trip = deviation_module._term_max(u, q, _exact_table)
+            ref_value, ref_trip = reference_term_max_exact(u, q)
+            if q < 3:
+                assert (value, trip) == (ref_value, ref_trip) == (None, None)
+                continue
+            assert value.hex() == ref_value.hex()
+            a, b, c = trip
+            assert len(a) == len(b) == len(c) >= 1
+            assert list(a + b + c) == sorted(set(a + b + c)) and c[-1] < q
+            assert _triple_value(u, a, b, c, q=q, right=False) == value
+            if kind == 0:   # no ties: the scan's witness
+                assert trip == ref_trip
+
+
+def test_exact_table_lists_every_start_in_order():
+    for q in range(3, 16):
+        t2, s, k, c = _exact_table(q)
+        rows = [(int(t2[i]), int(k[i]), int(s[i]), tuple(c[i, :k[i]].tolist()))
+                for i in range(len(k))]
+        ref = []
+        for tt in range(2, q):
+            for kk in range(1, q):
+                for ss in range(q):
+                    if kk <= ss <= tt - kk:
+                        for cc in itertools.combinations(range(tt, q), kk):
+                            if cc[0] == tt:
+                                ref.append((tt, kk, ss, cc))
+        assert rows == ref
+        assert c.shape == (len(k), q // 3) and not c[np.arange(q // 3) >= k[:, None]].any()

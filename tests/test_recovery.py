@@ -279,12 +279,16 @@ OVERSIZE = ("grid_n=1023 and n=16 measure the error on a common grid of 16368 ce
 
 
 def test_an_oversize_common_grid_fails_before_the_approximation(monkeypatch):
+    # checked before the search, so also where a zero estimate would ignore the grid
     calls = []
     monkeypatch.setattr("robinson_lab.recovery.robinson_approx", lambda *a, **k: calls.append(a))
-    w, _ = plant_violation(toeplitz_decay(16, seed=1), 0.3, seed=1)
-    for route in (lambda **k: recover(w, p=6.0, **k), lambda **k: recover_bounded(w, **k)):
-        with pytest.raises(ValueError, match=OVERSIZE):
-            route(grid_n=1023)
+    monkeypatch.setattr("robinson_lab.recovery.estimate_deviation",
+                        lambda *a, **k: calls.append(a))
+    planted, _ = plant_violation(toeplitz_decay(16, seed=1), 0.3, seed=1)
+    for w in (planted, toeplitz_decay(16, seed=1)):
+        for route in (lambda **k: recover(w, p=6.0, **k), lambda **k: recover_bounded(w, **k)):
+            with pytest.raises(ValueError, match=OVERSIZE):
+                route(grid_n=1023)
     assert calls == []
 
 
@@ -299,16 +303,19 @@ def test_recover_clamps_width_below_one(monkeypatch):
 
 
 def test_recover_scale_equivariance():
+    # 1e-60 and 1e55: the L^6 norm's sixth powers underflow and overflow
     w, _ = plant_violation(toeplitz_decay(8, seed=6), 0.25, seed=6)
     a1, r1 = recover(w, p=6.0)
-    a2, r2 = recover(4.0 * w, p=6.0)
-    assert r1.case_taken == r2.case_taken == "case1"
-    assert r2.normalization_scale == pytest.approx(4.0 * r1.normalization_scale,
-                                                   rel=1e-12)
-    assert r2.alpha == pytest.approx(r1.alpha, rel=1e-9)
-    assert r2.theory_bound == pytest.approx(r1.theory_bound, rel=1e-9)
-    assert np.allclose(a2.values, 4.0 * a1.values, rtol=1e-9, atol=1e-12)
-    assert r2.measured_error == pytest.approx(4.0 * r1.measured_error, rel=1e-6)
+    for c in (4.0, 1e-60, 1e55):
+        a2, r2 = recover(c * w, p=6.0)
+        assert r1.case_taken == r2.case_taken == "case1"
+        assert r2.normalization_scale == pytest.approx(c * r1.normalization_scale,
+                                                       rel=1e-12, abs=0.0)
+        assert r2.deviation_input == pytest.approx(r1.deviation_input, rel=1e-9)
+        assert r2.alpha == pytest.approx(r1.alpha, rel=1e-9)
+        assert r2.theory_bound == pytest.approx(r1.theory_bound, rel=1e-9)
+        assert np.allclose(a2.values, c * a1.values, rtol=1e-9, atol=c * 1e-12)
+        assert r2.measured_error == pytest.approx(c * r1.measured_error, rel=1e-6, abs=0.0)
 
 
 def test_recover_validation():

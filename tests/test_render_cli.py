@@ -159,6 +159,15 @@ def test_cli_synth_with_noise(tmp_path, capsys):
     assert float(np.abs(diff).max()) == noise["linf"]
 
 
+def test_cli_synth_rejects_a_flip_probability_above_one(tmp_path, capsys):
+    mat = tmp_path / "w.txt"
+    assert cli.main(["synth", "--kind", "toeplitz", "--n", "6", "--noise", "sign_flip",
+                     "--magnitude", "1.5", "--out-matrix", str(mat)]) == 1
+    captured = capsys.readouterr()
+    assert "flip probability; must be <= 1" in captured.err and captured.out == ""
+    assert not mat.exists()
+
+
 def test_cli_synth_rejects_bad_sizes_and_seeds(tmp_path, capsys):
     mat = tmp_path / "w.txt"
     for kind in ("toeplitz", "cumulative", "smooth", "quadratic"):

@@ -143,6 +143,8 @@ def test_noise_validation():
         add_noise(w, "uniform_bounded", -0.1)
     with pytest.raises(ValueError):
         add_noise(w, "salt_and_pepper", 0.1)
+    with pytest.raises(ValueError, match="flip probability; must be <= 1"):
+        add_noise(w, "sign_flip", 7.5)
 
 
 # ---------------------------------------------------------------------------
