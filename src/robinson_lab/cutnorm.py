@@ -17,7 +17,7 @@ from .core import CellSet, StepGraphon, _rng, _seed, _whole_number
 
 EXACT_HARD_CAP = 24          # absolute limit on 2^n enumeration
 DEFAULT_DISPATCH_CAP = 16    # dispatcher switches to local search above this
-_CHUNK_BITS = 16
+_CHUNK_BITS = 12            # 4,096 subsets a chunk: each array stays within 768 KB
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,10 +41,6 @@ def _box_value(v, s_idx, t_idx, n):
     return math.fsum(v[np.ix_(s_idx, t_idx)].ravel().tolist()) / (n * n)
 
 
-def _mask_bits(masks, n):
-    return ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
-
-
 def cut_norm_exact(w: StepGraphon) -> CutNormResult:
     """Exact cut norm by enumerating all 2^n row subsets.
 
@@ -61,19 +57,23 @@ def cut_norm_exact(w: StepGraphon) -> CutNormResult:
 
     # one scan: fsum-refine every row within the slack of the best raw value so
     # far, a superset of the rows near the final best (the rest lie more than
-    # the slack below it and cannot win); ties go to the smallest S, then T mask
+    # the slack below it and cannot win); ties go to the smallest S, then T mask.
+    # The raw sums are BLAS products with ones, a few ulps off: inside the slack
     best = None   # ((-value, s_mask, t_mask), s_idx, t_idx)
     best_raw = -math.inf
+    ones = np.ones(n)
     for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        c = _mask_bits(masks, n) @ v
-        pos = np.where(c > 0, c, 0.0).sum(axis=1)
-        neg = np.where(c < 0, -c, 0.0).sum(axis=1)
+        masks = np.arange(lo, min(lo + chunk, total), dtype="<u4").view(np.uint8)
+        bits = np.unpackbits(masks.reshape(-1, 4), axis=1, count=n,
+                             bitorder="little").astype(np.float64)
+        c = bits @ v
+        pos = np.maximum(c, 0.0, out=bits) @ ones
+        neg = pos - c @ ones
         top = np.maximum(pos, neg)
         best_raw = max(best_raw, float(top.max()))
         floor = best_raw - 1e-9 * max(1.0, abs(best_raw))
         for row in np.flatnonzero(top >= floor):
-            mask = int(masks[row])
+            mask = lo + int(row)
             s_idx = np.flatnonzero((mask >> np.arange(n)) & 1)
             for sign, branch in ((1.0, pos[row]), (-1.0, neg[row])):
                 if branch < floor:

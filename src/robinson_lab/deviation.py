@@ -10,6 +10,7 @@ cut norm, subadditive and positively homogeneous.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Optional, Tuple
@@ -141,16 +142,19 @@ def _alternate(v, t2, s, c, k):
     return best, trip
 
 
-def _start_table(q, restarts, rng):
-    """Every start of the left-term search: split t2, split s, block size k
-    and the table ``c``, whose row i begins with start i's ascending C block.
+def _read_only(*arrays):
+    """Lock a cached table: every caller is handed the same arrays."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    The swept starts come first: each lattice pair (t2, s) with the block
-    sizes k <= m = min(s, t2 - s, q - t2) in ascending order, all of them
-    when m <= 16 and else the powers of two and m itself, and C = t2, ...,
-    t2 + k - 1.  The seeded restarts follow, drawn from ``rng`` one at a
-    time.  As k <= m <= q / 3, the table is q // 3 wide.
-    """
+
+@functools.lru_cache(maxsize=1)   # both terms of a call share q
+def _swept_starts(q):
+    """The swept starts of ``_start_table``, read-only: each lattice pair
+    (t2, s) with the block sizes k <= m = min(s, t2 - s, q - t2) in
+    ascending order, all of them when m <= 16 and else the powers of two and
+    m itself, and C = t2, ..., t2 + k - 1."""
     def lattice(lo, hi):   # up to _SWEEP_CAP integers in [lo, hi], hi >= lo
         return np.unique(np.linspace(lo, hi, min(_SWEEP_CAP, hi - lo + 1)).round().astype(np.intp))
 
@@ -158,6 +162,17 @@ def _start_table(q, restarts, rng):
     m = np.minimum(np.minimum(s, t2 - s), q - t2)[:, None]
     ks = np.arange(1, q // 3 + 1)
     pair, k = np.nonzero((ks <= m) & ((m <= 16) | ((ks & (ks - 1)) == 0) | (ks == m)))
+    return _read_only(t2[pair], s[pair], ks[k], t2[pair, None] + np.arange(q // 3))
+
+
+def _start_table(q, restarts, rng):
+    """Every start of the left-term search: split t2, split s, block size k
+    and the table ``c``, whose row i begins with start i's ascending C block.
+
+    The swept starts (``_swept_starts``) come first, then the seeded
+    restarts, drawn from ``rng`` one at a time.  As k <= m <= q / 3, the
+    table is q // 3 wide.
+    """
     rest = np.empty((3, restarts), dtype=np.intp)
     rest_c = np.zeros((restarts, q // 3), dtype=np.intp)
     for j in range(restarts):
@@ -165,24 +180,23 @@ def _start_table(q, restarts, rng):
         rs = int(rng.integers(1, rt))
         rk = int(rng.integers(1, min(rs, rt - rs, q - rt) + 1))
         rest[:, j] = rt, rs, rk
-        rest_c[j, :rk] = np.sort(rng.choice(np.arange(rt, q), size=rk, replace=False))
-    return (np.concatenate([t2[pair], rest[0]]), np.concatenate([s[pair], rest[1]]),
-            np.concatenate([ks[k], rest[2]]),
-            np.concatenate([t2[pair, None] + np.arange(q // 3), rest_c]))
+        rest_c[j, :rk] = np.sort(rng.choice(q - rt, size=rk, replace=False) + rt)
+    return tuple(np.concatenate(parts) for parts in zip(_swept_starts(q), (*rest, rest_c)))
 
 
+@functools.lru_cache(maxsize=None)   # q <= 15: a few small tables
 def _exact_table(q):
-    """Every start of the exact left-term search, laid out as ``_start_table``:
-    each split t2 = min C, block size k, split s with k <= s <= t2 - k and
-    C, which is t2 and k - 1 columns right of it, in (t2, k, s, C) order with
-    C in ``itertools.combinations`` order.
+    """Every start of the exact left-term search, laid out as ``_start_table``
+    and read-only: each split t2 = min C, block size k, split s with
+    k <= s <= t2 - k and C, which is t2 and k - 1 columns right of it, in
+    (t2, k, s, C) order with C in ``itertools.combinations`` order.
     """
     rows = np.array([(t2, s, k, t2) + rest + (0,) * (q // 3 - k)
                      for t2 in range(2, q) for k in range(1, min(t2 // 2, q - t2) + 1)
                      for s in range(k, t2 - k + 1)
                      for rest in itertools.combinations(range(t2 + 1, q), k - 1)],
                     dtype=np.intp).reshape(-1, 3 + q // 3)
-    return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:]
+    return _read_only(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:])
 
 
 def _start_caps(v, t2, s, k):
@@ -192,8 +206,10 @@ def _start_caps(v, t2, s, k):
     sum_{j in C} (sum_{i in A} v_ij - sum_{i in B} v_ij) is at most the sum
     of the k largest h_j over j >= t2, with h_j the sum of the k largest
     entries of v[:s, j] minus the sum of the k smallest of v[s:t2, j].  Per
-    t2, one masked sort of v[:t2, t2:] over its splits s and cumulative sums
-    give h for every (s, k).
+    t2, one masked sort of v[t2:, :t2] over its splits s and cumulative sums
+    give h for every (s, k).  Row j of v stands for column j: v is symmetric
+    bit for bit (``StepGraphon`` stores (v + v^T) / 2, and ``refine``'s
+    ``np.kron`` and the reversal keep that), so both read the same numbers.
 
     The slack covers rounding.  n numbers of size at most M = max|v|, added
     in any order, land within n^2 M eps / 2 of their exact sum (to first
@@ -209,10 +225,9 @@ def _start_caps(v, t2, s, k):
         row = np.searchsorted(splits, s[idx])
         lo, hi = int(splits[0]), int(splits[-1])
         kk = k[idx]
-        block = v[:tt, tt:].T                         # column j >= t2 as a row
         # ascending per split and column: top holds minus rows [0, s), bot rows [s, t2)
-        top = np.where(np.arange(hi) < splits[:, None, None], -block[:, :hi], np.inf)
-        bot = np.where(np.arange(lo, tt) < splits[:, None, None], np.inf, block[:, lo:])
+        top = np.where(np.arange(hi) < splits[:, None, None], -v[tt:, :hi], np.inf)
+        bot = np.where(np.arange(lo, tt) < splits[:, None, None], np.inf, v[tt:, lo:tt])
         top.sort(axis=2)
         bot.sort(axis=2)
         km = int(kk.max())

@@ -1,5 +1,7 @@
 """Cut norm solvers against a full (S, T) enumeration oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -135,7 +137,8 @@ def test_exact_cap_enforced():
 
 
 # cut_norm_exact on sym(Philox(n), n), and at n = 17 also on its reversal,
-# whose witness lies in the second chunk: (n, reversed, value hex, S, T)
+# whose witness S holds cell 16 and so lies past the first 2^16 subsets:
+# (n, reversed, value hex, S, T)
 EXACT_PINS = [
     (16, False, '0x1.e695a825e30acp-5', (1, 3, 4, 6, 7, 8, 10, 11, 12),
      (1, 2, 3, 4, 6, 7, 8, 10, 11, 14)),
@@ -148,7 +151,7 @@ EXACT_PINS = [
 
 @pytest.mark.parametrize("n, flip, value, s_idx, t_idx", EXACT_PINS,
                          ids=["n16", "n17", "n17-reversed"])
-def test_exact_pinned_at_one_and_two_chunks(n, flip, value, s_idx, t_idx):
+def test_exact_pinned_on_a_kernel_and_its_reversal(n, flip, value, s_idx, t_idx):
     v = sym(np.random.Generator(np.random.Philox(n)), n).values
     r = cut_norm_exact(StepGraphon(v[::-1, ::-1] if flip else v))
     assert r.value.hex() == value
@@ -162,9 +165,14 @@ def test_dispatcher_falls_back_above_the_hard_cap():
     assert r.value == cut_norm_local_search(w).value
 
 
+def _mask_bits(masks, n):
+    return ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+
+
 def reference_cut_norm_exact(w):
     """The two-pass enumeration: chunk maxima first, then a rescan of the
-    near-optimal chunks (the last chunk kept between passes)."""
+    near-optimal chunks (the last chunk kept between passes).  Its 0/1 rows
+    come from int64 shifts and its row sums from ``np.where``."""
     n = w.n
     v = w.values
     total = 1 << n
@@ -172,7 +180,7 @@ def reference_cut_norm_exact(w):
 
     def scan(lo):
         masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        c = cutnorm_module._mask_bits(masks, n) @ v
+        c = _mask_bits(masks, n) @ v
         pos = np.where(c > 0, c, 0.0).sum(axis=1)
         neg = np.where(c < 0, -c, 0.0).sum(axis=1)
         return masks, c, pos, neg, np.maximum(pos, neg)
@@ -209,11 +217,15 @@ def reference_cut_norm_exact(w):
 
 
 def tie_heavy(rng, n):
-    """Three-valued, constant and Toeplitz kernels: many subsets tie."""
+    """{-1, 0, 1}, constant and Toeplitz kernels, and a random one with
+    exactly zero columns: many subsets tie, and many column sums are 0."""
     m = np.triu(rng.integers(-1, 2, (n, n)).astype(float))
     i = np.arange(n)
+    z = sym(rng, n).values.copy()
+    z[:, i % 3 == 1] = 0.0
+    z[i % 3 == 1, :] = 0.0
     return [m + np.triu(m, 1).T, np.full((n, n), 0.7),
-            np.maximum(0.0, 1.0 - abs(i[:, None] - i[None, :]) / 3.0) - 0.3]
+            np.maximum(0.0, 1.0 - abs(i[:, None] - i[None, :]) / 3.0) - 0.3, z]
 
 
 @pytest.mark.parametrize("n", [17, 18, 19, 20])
@@ -233,3 +245,30 @@ def test_one_scan_matches_two_pass_reference_with_small_chunks(monkeypatch):
         for m in [v, v[::-1, ::-1]] + tie_heavy(rng, n):
             w = StepGraphon(m)
             assert repr(cut_norm_exact(w)) == repr(reference_cut_norm_exact(w))
+
+
+def test_chunked_products_give_every_row_the_same_bits():
+    # the scan's value and witness rest on this: a row of bits @ v is the same
+    # in a 2^16-row product as in a 2^12-row one
+    rng = np.random.Generator(np.random.Philox(2024))
+    for n in range(1, 21):
+        v = sym(rng, n).values
+        for lo in range(0, 1 << n, 1 << 16):
+            masks = np.arange(lo, min(lo + (1 << 16), 1 << n), dtype=np.int64)
+            bits = _mask_bits(masks, n)
+            whole = bits @ v
+            for sub in range(0, len(masks), 1 << 12):
+                part = bits[sub:sub + (1 << 12)] @ v
+                assert np.array_equal(part, whole[sub:sub + (1 << 12)]), (n, lo + sub)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_exact_scan_allocates_little(n):
+    w = sym(np.random.Generator(np.random.Philox(n)), n)
+    tracemalloc.start()
+    try:
+        cut_norm_exact(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20

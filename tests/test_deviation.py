@@ -442,6 +442,51 @@ def test_every_start_stays_under_its_cap():
             assert np.all(best <= cap[idx])
 
 
+def reference_start_caps(v, t2, s, k):
+    """The caps read off the columns of v, v[:t2, t2:] transposed."""
+    cap = np.empty(len(k))
+    for tt in sorted(set(t2.tolist())):
+        idx = np.flatnonzero(t2 == tt)
+        splits = np.unique(s[idx])
+        row = np.searchsorted(splits, s[idx])
+        lo, hi = int(splits[0]), int(splits[-1])
+        kk = k[idx]
+        block = v[:tt, tt:].T
+        top = np.where(np.arange(hi) < splits[:, None, None], -block[:, :hi], np.inf)
+        bot = np.where(np.arange(lo, tt) < splits[:, None, None], np.inf, block[:, lo:])
+        top.sort(axis=2)
+        bot.sort(axis=2)
+        km = int(kk.max())
+        h = np.cumsum(top[..., :km] + bot[..., :km], axis=2)
+        h = np.sort(h[row, :, kk - 1], axis=1).cumsum(axis=1)
+        cap[idx] = -h[np.arange(len(idx)), kk - 1]
+    return cap + 8.0 * k.astype(float) ** 4 * np.finfo(float).eps * np.abs(v).max()
+
+
+def test_caps_match_the_column_reference_bit_for_bit():
+    # heuristic tables (restarts share (t2, s, k) with swept starts) and exact
+    # tables (many starts share each (t2, s, k))
+    for v, restarts, seed in _cap_inputs():
+        q = v.shape[0]
+        tables = [_start_table(q, restarts, np.random.Generator(np.random.Philox(seed)))]
+        if q <= EXACT_DEVIATION_CAP:
+            tables.append(_exact_table(q))
+        for t2, s, k, _ in tables:
+            assert _start_caps(v, t2, s, k).tobytes() == \
+                reference_start_caps(v, t2, s, k).tobytes()
+
+
+def test_start_tables_are_built_once_and_read_only():
+    # the exact table once per q, the swept starts once for both terms of a call
+    assert _exact_table(9) is _exact_table(9)
+    assert not any(a.flags.writeable for a in _exact_table(9))
+    swept = deviation_module._swept_starts
+    swept.cache_clear()
+    deviation_heuristic(_noisy_toeplitz(20), 2, restarts=5, seed=3)
+    assert (swept.cache_info().misses, swept.cache_info().hits) == (1, 1)
+    assert not any(a.flags.writeable for a in swept(40))
+
+
 def test_the_caps_skip_most_starts_at_q80(monkeypatch):
     rows = []
     plain_alternate = deviation_module._alternate
