@@ -396,6 +396,12 @@ def _grid_size(w, grid_n):
                          "grid_n must be a positive integer")
 
 
+def _alpha_zero_tol(w):
+    """The Robinson tolerance behind alpha = 0: 1e-12 of w's sup norm, so the
+    verdict does not depend on the units of w."""
+    return 1e-12 * float(np.abs(w.values).max())
+
+
 def _corner_points(grid_n, alpha):
     """Conservative evaluation corners for every upper-triangle cell: cell
     (i, j) is scored at x = i/g, y = (j+1)/g, the corner where the window
@@ -414,16 +420,19 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
     """Robinson approximation: sample the window supremum on a grid, take the
     monotone envelope, reflect.
 
-    alpha = 0 is allowed only when w is already Robinson and the grid is its
-    own (returns a read-only copy of w).  mode "auto" picks exact enumeration
-    for small problems and the alternating heuristic otherwise.
+    alpha = 0 is allowed only when w is already Robinson, within 1e-12 of its
+    sup norm, and the grid is its own (returns a read-only copy of w).  mode
+    "auto" picks exact enumeration for small problems and the alternating
+    heuristic otherwise.
     """
     g = _grid_size(w, grid_n)
+    if mode not in ("auto", "exact", "heuristic"):
+        raise ValueError("mode must be auto, exact or heuristic")
     if alpha == 0:
         if g != w.n:
             raise ValueError("alpha=0 returns the %dx%d input itself, so grid_n must be %d, "
                              "not %d" % (w.n, w.n, w.n, g))
-        chk = is_robinson(w, 1e-12)
+        chk = is_robinson(w, _alpha_zero_tol(w))
         if not chk.robinson:
             raise ValueError("alpha=0 demands a Robinson input (witness %s)" % (chk.witness,))
         vals = np.array(w.values)
@@ -434,8 +443,6 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
         raise ValueError("alpha must lie in [0, 1)")
     if mode == "auto":
         mode = "exact" if (w.n <= 12 and g <= 32) else "heuristic"
-    if mode not in ("exact", "heuristic"):
-        raise ValueError("mode must be auto, exact or heuristic")
 
     i, j, xs, ys, feasible = _corner_points(g, alpha)
     vals = np.zeros(len(i))

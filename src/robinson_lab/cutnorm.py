@@ -55,12 +55,13 @@ def cut_norm_exact(w: StepGraphon) -> CutNormResult:
     total = 1 << n
     chunk = 1 << min(_CHUNK_BITS, n)
 
-    # one scan: fsum-refine every row within the slack of the best raw value so
-    # far, a superset of the rows near the final best (the rest lie more than
-    # the slack below it and cannot win); ties go to the smallest S, then T mask.
-    # The raw sums are BLAS products with ones, a few ulps off: inside the slack
-    best = None   # ((-value, s_mask, t_mask), s_idx, t_idx)
-    best_raw = -math.inf
+    # one scan over both signs: fsum-refine every (sign, row) whose raw sum is
+    # positive and within 1e-9 of the best raw sum B so far, a superset of the
+    # rows tied with the final best (the raw sums are BLAS products with ones,
+    # a few ulps off, far inside the slack); ties go to the smallest S, then T
+    # mask.  The empty box starts the scan, so B = 0 (every box sum 0) keeps it.
+    empty = np.zeros(0, dtype=np.intp)
+    best_key, best_box, top = (-0.0, 0, 0), (empty, empty), 0.0   # key: (-value, S mask, T mask)
     ones = np.ones(n)
     for lo in range(0, total, chunk):
         masks = np.arange(lo, min(lo + chunk, total), dtype="<u4").view(np.uint8)
@@ -68,27 +69,18 @@ def cut_norm_exact(w: StepGraphon) -> CutNormResult:
                              bitorder="little").astype(np.float64)
         c = bits @ v
         pos = np.maximum(c, 0.0, out=bits) @ ones
-        neg = pos - c @ ones
-        top = np.maximum(pos, neg)
-        best_raw = max(best_raw, float(top.max()))
-        floor = best_raw - 1e-9 * max(1.0, abs(best_raw))
-        for row in np.flatnonzero(top >= floor):
+        raw = np.stack([pos, pos - c @ ones])   # the + and - sign's sums
+        top = max(top, float(raw.max()))
+        for sign, row in zip(*np.nonzero((raw >= top - 1e-9 * top) & (raw > 0))):
             mask = lo + int(row)
             s_idx = np.flatnonzero((mask >> np.arange(n)) & 1)
-            for sign, branch in ((1.0, pos[row]), (-1.0, neg[row])):
-                if branch < floor:
-                    continue
-                t_idx = np.flatnonzero(sign * c[row] > 0)
-                val = abs(_box_value(v, s_idx, t_idx, n))
-                t_mask = int((1 << t_idx).sum())
-                key = (-val, mask, t_mask)
-                if best is None or key < best[0]:
-                    best = (key, s_idx, t_idx)
-    (neg_val, _, _), s_idx, t_idx = best
-    return CutNormResult(value=-neg_val,
-                         witness_s=CellSet(n, tuple(int(i) for i in s_idx)),
-                         witness_t=CellSet(n, tuple(int(i) for i in t_idx)),
-                         mode="exact", exact=True)
+            t_idx = np.flatnonzero(c[row] < 0 if sign else c[row] > 0)
+            key = (-abs(_box_value(v, s_idx, t_idx, n)), mask, int((1 << t_idx).sum()))
+            if key < best_key:
+                best_key, best_box = key, (s_idx, t_idx)
+    s_idx, t_idx = best_box
+    return CutNormResult(value=-best_key[0], witness_s=CellSet(n, s_idx),
+                         witness_t=CellSet(n, t_idx), mode="exact", exact=True)
 
 
 def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> CutNormResult:
@@ -96,35 +88,28 @@ def cut_norm_local_search(w: StepGraphon, restarts: int = 50, seed: int = 0) -> 
 
     Each restart draws a random row subset, then alternates: fix S, set
     T = {j : column sum > 0}; fix T, reset S likewise; repeat until S comes
-    back unchanged for every restart (a fixed point) or for 200 rounds.
-    Both signs of the objective are searched.  Deterministic for a given
-    seed, and never exceeds the exact value.
+    back unchanged for every restart of both signs of the objective (a fixed
+    point) or for 200 rounds.  The first (sign, restart) with the largest
+    value wins.  Deterministic for a given seed, and never exceeds the exact
+    value.
     """
     restarts = _whole_number(restarts, 1, "restarts must be >= 1")
-    rng = _rng(seed)
     n = w.n
-    best = None   # (value, S tuple, T tuple)
-    for v in (w.values, -w.values):
-        s = (rng.random((restarts, n)) < 0.5).astype(np.float64)
-        c = s @ v
-        for _ in range(200):
-            t = (c > 0).astype(np.float64)
-            s_new = (t @ v > 0).astype(np.float64)
-            if np.array_equal(s_new, s):
-                break
-            s = s_new
-            c = s @ v
+    v = np.stack([w.values, -w.values])   # one slice per sign of the objective
+    s = (_rng(seed).random((2, restarts, n)) < 0.5).astype(np.float64)
+    c = s @ v
+    for _ in range(200):   # a sign at its fixed point repeats bit for bit
         t = (c > 0).astype(np.float64)
-        val = np.einsum("ij,ij->i", c, t)
-        ridx = int(np.argmax(val))   # the first best restart
-        cand = (float(val[ridx]), tuple(int(i) for i in np.flatnonzero(s[ridx])),
-                tuple(int(j) for j in np.flatnonzero(t[ridx])))
-        if best is None or cand[0] > best[0] + 1e-15:
-            best = cand
-    _, s_idx, t_idx = best
-    value = abs(_box_value(w.values, np.asarray(s_idx, dtype=np.intp),
-                           np.asarray(t_idx, dtype=np.intp), n))
-    return CutNormResult(value=value,
+        s_new = (t @ v > 0).astype(np.float64)
+        if np.array_equal(s_new, s):
+            break
+        s = s_new
+        c = s @ v
+    t = (c > 0).astype(np.float64)
+    val = np.einsum("kij,kij->ki", c, t)
+    best = np.unravel_index(np.argmax(val), val.shape)   # the first best (sign, restart)
+    s_idx, t_idx = np.flatnonzero(s[best]), np.flatnonzero(t[best])
+    return CutNormResult(value=abs(_box_value(w.values, s_idx, t_idx, n)),
                          witness_s=CellSet(n, s_idx), witness_t=CellSet(n, t_idx),
                          mode="localsearch", exact=False)
 

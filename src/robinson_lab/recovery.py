@@ -27,7 +27,7 @@ from .core import (MAX_REFINED_CELLS, StepGraphon, _seed, _whole_number, cutoff,
                    lp_norm, refine)
 from .cutnorm import DEFAULT_DISPATCH_CAP, cut_norm
 from .deviation import EXACT_DEVIATION_CAP, DeviationCertificate, deviation_exact, deviation_heuristic
-from .approx import RobinsonApprox, _grid_size, robinson_approx
+from .approx import RobinsonApprox, _alpha_zero_tol, _grid_size, robinson_approx
 
 
 def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
@@ -63,11 +63,12 @@ def theoretical_bound(p, lam: float, inf_norm: Optional[float] = None) -> float:
     values stay within [0, 1] (inf_norm omitted or <= 1), otherwise the
     sup-norm-scaled variant 44 * inf_norm^(4/5) * lam^(1/5).
     """
+    p = float(p)
     if not lam >= 0:
         raise ValueError("deviation must be >= 0")
     if inf_norm is not None and not inf_norm >= 0:
         raise ValueError("inf_norm must be >= 0")
-    if p != math.inf and not float(p) > 5:
+    if not p > 5:
         raise ValueError("norm index must exceed 5")
     if lam == 0:
         return 0.0
@@ -75,7 +76,6 @@ def theoretical_bound(p, lam: float, inf_norm: Optional[float] = None) -> float:
         if inf_norm is None or inf_norm <= 1.0 + 1e-12:
             return 44.0 * lam ** 0.2
         return 44.0 * inf_norm ** 0.8 * lam ** 0.2
-    p = float(p)
     return 78.0 * lam ** ((p - 5.0) / (5.0 * p - 5.0))
 
 
@@ -194,7 +194,7 @@ def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
     timings["deviation"] = time.perf_counter() - t0
 
     warning = threshold = lam_m = None
-    if lam == 0.0 and is_robinson(w, 1e-12).robinson:
+    if lam == 0.0 and is_robinson(w, _alpha_zero_tol(w)).robinson:
         case, alpha = "alpha-zero", 0.0
         if g != w.n:
             warning = ("grid_n=%d ignored: a zero deviation returns the %dx%d input itself"

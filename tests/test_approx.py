@@ -737,6 +737,8 @@ def test_robinson_approx_alpha_zero_paths():
         robinson_approx(bad, -0.1)
     with pytest.raises(ValueError, match="mode must be auto, exact or heuristic"):
         robinson_approx(w, 0.2, mode="bogus")
+    with pytest.raises(ValueError, match="mode must be auto, exact or heuristic"):
+        robinson_approx(w, 0.0, mode="bogus")   # checked before the identity path
 
 
 def test_grid_n_must_be_a_positive_integer():

@@ -510,3 +510,10 @@ def test_nan_fails_every_range_check(name):
     call, message = _nan_cases()[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_theoretical_bound_reads_p_as_a_number():
+    import robinson_lab as rl
+
+    assert rl.theoretical_bound("inf", 0.5) == rl.theoretical_bound(math.inf, 0.5)
+    assert rl.theoretical_bound("6", 0.5) == rl.theoretical_bound(6.0, 0.5)

@@ -272,3 +272,106 @@ def test_exact_scan_allocates_little(n):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def reference_cut_norm_local_search(w, restarts=50, seed=0):
+    """The two-pass local search: one alternation per sign, the + sign's
+    restarts drawn first, and the - sign's best taken only when it beats the
+    + sign's by more than 1e-15.  Returns the result and both signs' best raw
+    values."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = w.n
+    best, raws = None, []
+    for v in (w.values, -w.values):
+        s = (rng.random((restarts, n)) < 0.5).astype(np.float64)
+        c = s @ v
+        for _ in range(200):
+            t = (c > 0).astype(np.float64)
+            s_new = (t @ v > 0).astype(np.float64)
+            if np.array_equal(s_new, s):
+                break
+            s = s_new
+            c = s @ v
+        t = (c > 0).astype(np.float64)
+        val = np.einsum("ij,ij->i", c, t)
+        ridx = int(np.argmax(val))
+        cand = (float(val[ridx]), tuple(int(i) for i in np.flatnonzero(s[ridx])),
+                tuple(int(j) for j in np.flatnonzero(t[ridx])))
+        raws.append(cand[0])
+        if best is None or cand[0] > best[0] + 1e-15:
+            best = cand
+    _, s_idx, t_idx = best
+    value = abs(cutnorm_module._box_value(w.values, np.asarray(s_idx, dtype=np.intp),
+                                          np.asarray(t_idx, dtype=np.intp), n))
+    return CutNormResult(value=value, witness_s=CellSet(n, s_idx),
+                         witness_t=CellSet(n, t_idx), mode="localsearch", exact=False), raws
+
+
+def four_kinds(rng, n):
+    """Uniform, one-decimal, five-valued and centred kernels."""
+    u = sym(rng, n).values
+    f = np.triu(rng.integers(-2, 3, (n, n)).astype(float))
+    c = sym(rng, n, 0.0, 2.0).values
+    return [u, np.round(u, 1), f + np.triu(f, 1).T, c - c.mean()]
+
+
+def test_local_search_matches_two_pass_reference():
+    rng = np.random.Generator(np.random.Philox(2026))
+    for _ in range(130):
+        n, restarts, s = int(rng.integers(2, 48)), int(rng.integers(1, 60)), int(rng.integers(1 << 20))
+        for m in four_kinds(rng, n):
+            w = StepGraphon(m)
+            r = cut_norm_local_search(w, restarts=restarts, seed=s)
+            ref, (pos, neg) = reference_cut_norm_local_search(w, restarts, s)
+            # the one search may differ only where the - sign wins by at most 1e-15
+            assert not 0 < neg - pos <= 1e-15, (n, restarts, s)
+            assert (r.value.hex(), r.witness_s, r.witness_t) == \
+                   (ref.value.hex(), ref.witness_s, ref.witness_t)
+
+
+# cut_norm_local_search(sym(Philox(n), n)) at the default restarts and seed:
+# (n, value hex, S, T)
+LOCAL_SEARCH_PINS = [
+    (20, '0x1.a0fb65209a6e4p-5', (0, 3, 7, 8, 9, 10, 11, 12, 13, 16, 18),
+     (0, 1, 2, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 18)),
+    (24, '0x1.80ef2b0cf22c4p-5', (2, 3, 4, 5, 7, 8, 9, 10, 12, 16, 17, 18, 19, 20, 23),
+     (2, 3, 4, 5, 7, 8, 9, 10, 12, 16, 17, 18, 19, 20, 23)),
+    (40, '0x1.429e72eff738bp-5',
+     (0, 1, 2, 4, 7, 8, 10, 11, 12, 13, 15, 16, 17, 19, 21, 22, 24, 25, 27, 28, 30, 31,
+      32, 33, 35, 36, 37, 38, 39),
+     (0, 1, 4, 7, 8, 10, 11, 13, 16, 17, 18, 19, 23, 24, 27, 28, 31, 32, 33, 34, 35, 37,
+      38, 39)),
+]
+
+
+@pytest.mark.parametrize("n, value, s_idx, t_idx", LOCAL_SEARCH_PINS, ids=["n20", "n24", "n40"])
+def test_local_search_pinned(n, value, s_idx, t_idx):
+    r = cut_norm_local_search(sym(np.random.Generator(np.random.Philox(n)), n))
+    assert r.value.hex() == value
+    assert (r.witness_s.indices, r.witness_t.indices) == (s_idx, t_idx)
+
+
+@pytest.mark.parametrize("c", [1e-18, 1e-12, 1e6])
+def test_both_solvers_are_homogeneous(c):
+    # a planted negative block makes the - sign win with S = T, so no
+    # transposed box T x S ties with the best one
+    rng = np.random.Generator(np.random.Philox(606))
+    for solve, n in ((cut_norm_exact, 10), (cut_norm_local_search, 20)):
+        v = sym(rng, n, -0.3, 0.3).values.copy()
+        v[: n // 2, : n // 2] -= 1.0
+        a, b = solve(StepGraphon(v)), solve(StepGraphon(c * v))
+        assert a.witness_s == a.witness_t
+        assert b.value == pytest.approx(c * a.value, rel=1e-12, abs=0.0)
+        assert (b.witness_s, b.witness_t) == (a.witness_s, a.witness_t)
+
+
+@pytest.mark.parametrize("scale, calls", [(1.0, 3), (1e-12, 3), (0.0, 0)],
+                         ids=["w", "1e-12w", "zero"])
+def test_exact_refines_the_same_rows_at_every_scale(monkeypatch, scale, calls):
+    count = []
+    box_value = cutnorm_module._box_value
+    monkeypatch.setattr(cutnorm_module, "_box_value",
+                        lambda *a: count.append(1) or box_value(*a))
+    w = sym(np.random.Generator(np.random.Philox(16)), 16)
+    cut_norm_exact(StepGraphon(scale * w.values))
+    assert len(count) == calls

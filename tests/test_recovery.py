@@ -451,6 +451,16 @@ def test_golden_pins(run, want):
     assert not approx.values.flags.writeable
 
 
+@pytest.mark.parametrize("c", [1e-15, 1.0, 1e6])
+def test_alpha_zero_check_is_scale_free(c):
+    # the dipped cell violates Robinson at every scale, so neither route may
+    # hand back the input as its own approximation
+    w = StepGraphon(c * _dipped_diagonal().values)
+    for approx, rep in (recover(w, p=6.0), recover_bounded(w)):
+        assert rep.case_taken == "fallback-min-alpha"
+        assert is_robinson(StepGraphon(approx.values / c), 1e-12).robinson
+
+
 def test_recover_is_deterministic():
     w, _ = plant_violation(toeplitz_decay(8, seed=9), 0.2, seed=9)
     a1, r1 = recover(w, p=8.0)
