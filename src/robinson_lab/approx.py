@@ -129,22 +129,31 @@ def _signed_caps(caps):
 
 def _knap_fill_top(scores, caps, alpha, kk):
     """:func:`_knap_fill_batch` (maximising) that sorts only the ``kk`` best
-    open cells of each row; ``caps`` are signed.  Same bits: closed cells
-    sort last and add exact zeros, the slice is sorted stably in index
-    order, and a row whose slice cannot decide its fill (its boundary key
-    ties the slice, or the slice holds at most alpha + 1e-9 of mass while
-    open cells lie outside it) takes the full sort.  One row, or kk >= n,
-    takes the full sort outright."""
+    open cells of each row; ``caps`` are signed.  A sort of the keys' values
+    gives the next key, and the slice is the cells whose key lies below it.
+    Same bits: closed cells sort last and add exact zeros, the slice is
+    sorted stably in index order, and a row whose slice cannot decide its
+    fill (its boundary key ties the slice, or the slice holds at most
+    alpha + 1e-9 of mass while open cells lie outside it) takes the full
+    sort.  A row with at most kk open cells takes them all, padded with
+    closed cells.  One row, or kk >= n, takes the full sort outright."""
     g = np.asarray(scores, dtype=np.float64)
     p_cnt, n = g.shape
     if kk >= n or p_cnt < 2:
         return _knap_fill_batch(g, caps, alpha)
     key = caps * np.inf                        # -g on open cells, +inf on
     np.negative(np.minimum(key, g, out=key), out=key)   # closed ones (sort last)
-    part = np.argpartition(key, kk, axis=1)
+    srt = np.sort(key, axis=1)
+    nxt = srt[:, kk]
+    tie = srt[:, kk - 1] == nxt                # the kk smallest keys are no value cut
+    top = key < nxt[:, None]
+    if tie.any():
+        few = tie & np.isinf(nxt)              # at most kk open cells: all of them,
+        pad = ~top[few]                        # padded with the first closed ones
+        top[few] |= pad & (pad.cumsum(axis=1) <= kk - n + pad.sum(axis=1)[:, None])
+        top[tie & ~few] = np.arange(n) < kk    # any kk cells: these rows are redone
     row = np.arange(p_cnt)[:, None]
-    nxt = key[row[:, 0], part[:, kk]]
-    flat = np.sort(part[:, :kk], axis=1) + row * n     # flat indices, rows in order
+    flat = np.flatnonzero(top).reshape(p_cnt, kk)      # flat indices, rows in order
     ks = key.take(flat)
     flat = flat.take(np.argsort(ks, axis=1, kind="stable") + row * kk)
     cs = np.maximum(caps.take(flat), 0.0)
@@ -152,7 +161,7 @@ def _knap_fill_top(scores, caps, alpha, kk):
     fill = np.clip(alpha - (cum - cs), 0.0, cs)
     out = np.zeros_like(g)
     out.put(flat, fill)
-    redo = np.isfinite(nxt) & ((nxt <= ks.max(axis=1)) | (cum[:, -1] <= alpha + 1e-9))
+    redo = np.isfinite(nxt) & (tie | (cum[:, -1] <= alpha + 1e-9))
     if redo.any():
         out[redo] = _knap_fill_batch(g[redo], caps[redo], alpha)
     return out
@@ -200,12 +209,14 @@ def _ul_heuristic_block(v, alpha, xs, ys):
     alternates knapsack responses and keeps a running maximum of its value
     until its T side comes back unchanged or ``ROUNDS`` rounds have run.  The
     S response is a function of t alone, so such a point is at a fixed point:
-    its value repeats, already counted, and the point drops out.  A one-row
-    product does not give its row the bits that row gets in a larger product
-    (numpy routes it to gemv), so when two or more points remain a frozen
-    point pads the active set to at least two rows.  A fill gives mass to at
-    most floor(alpha n) + 2 cells (caps are at most 1/n), so the responses
-    sort only floor(alpha n) + 3 cells per row.
+    its value repeats, already counted, and the point drops out.  A point
+    whose new T is the fixed point an earlier start ended at drops out too:
+    from there it would repeat that start's last round, whose value is also
+    counted.  A one-row product does not give its row the bits that row gets
+    in a larger product (numpy routes it to gemv), so when two or more points
+    remain a frozen point pads the active set to at least two rows.  A fill
+    gives mass to at most floor(alpha n) + 2 cells (caps are at most 1/n), so
+    the responses sort only floor(alpha n) + 3 cells per row.
 
     Points never interact, so a point's value is that of searching it alone
     whenever BLAS gives each row of a product of two or more rows the same
@@ -216,13 +227,18 @@ def _ul_heuristic_block(v, alpha, xs, ys):
     b_caps = _signed_caps(_availability(ys, n, "right"))
     kk = int(alpha * n) + 3
     best = np.full(len(a_caps), -np.inf)
+    ends = []               # each earlier start's fixed point, NaN where it had none
     for t in _t_starts(v, alpha, b_caps):
         rows, a, b = np.arange(len(a_caps)), a_caps, b_caps
+        end = np.full(a_caps.shape, np.nan)
         for _ in range(ROUNDS):
             sv = _knap_fill_top(t @ v, a, alpha, kk) @ v
             t_new = _knap_fill_top(sv, b, alpha, kk)
             best[rows] = np.maximum(best[rows], np.einsum("ij,ij->i", sv, t_new))
             moving = np.any(t_new != t, axis=1)
+            end[rows[~moving]] = t_new[~moving]
+            for e in ends:          # at an earlier start's fixed point, whose
+                moving &= np.any(t_new != e[rows], axis=1)      # last round repeats
             n_moving = np.count_nonzero(moving)
             if n_moving == 0:
                 break
@@ -231,6 +247,7 @@ def _ul_heuristic_block(v, alpha, xs, ys):
             t = t_new
             if not moving.all():
                 rows, a, b, t = rows[moving], a[moving], b[moving], t[moving]
+        ends.append(end)
     return best / (alpha * alpha)
 
 
@@ -396,9 +413,10 @@ def _grid_size(w, grid_n):
                          "grid_n must be a positive integer")
 
 
-def _alpha_zero_tol(w):
-    """The Robinson tolerance behind alpha = 0: 1e-12 of w's sup norm, so the
-    verdict does not depend on the units of w."""
+def _robinson_tol(w):
+    """The Robinson tolerance of every check here (the alpha = 0 input, the
+    closed form's input, both outputs) and of recovery's alpha = 0 test:
+    1e-12 of w's sup norm, so the verdict does not depend on the units of w."""
     return 1e-12 * float(np.abs(w.values).max())
 
 
@@ -432,7 +450,7 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
         if g != w.n:
             raise ValueError("alpha=0 returns the %dx%d input itself, so grid_n must be %d, "
                              "not %d" % (w.n, w.n, w.n, g))
-        chk = is_robinson(w, _alpha_zero_tol(w))
+        chk = is_robinson(w, _robinson_tol(w))
         if not chk.robinson:
             raise ValueError("alpha=0 demands a Robinson input (witness %s)" % (chk.witness,))
         vals = np.array(w.values)
@@ -455,7 +473,8 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
     grid = np.zeros((g, g))
     grid[i, j] = vals
     grid = monotone_envelope(grid)
-    validated = bool(is_robinson(StepGraphon(grid), 1e-12).robinson)
+    out = StepGraphon(grid)
+    validated = bool(is_robinson(out, _robinson_tol(out)).robinson)
     grid.flags.writeable = False
     return RobinsonApprox(values=grid, alpha=float(alpha), grid_n=g,
                           mode=mode, robinson_validated=validated)
@@ -473,7 +492,7 @@ def closed_form_robinson_ae(w: StepGraphon, alpha: float,
     """
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
-    chk = is_robinson(w, 1e-9)
+    chk = is_robinson(w, _robinson_tol(w))
     if not chk.robinson:
         raise ValueError("closed form needs a Robinson input (witness %s)" % (chk.witness,))
     g = _grid_size(w, grid_n)
@@ -486,7 +505,8 @@ def closed_form_robinson_ae(w: StepGraphon, alpha: float,
     grid[i, j] = vals
     iu = np.triu_indices(g, 1)
     grid[(iu[1], iu[0])] = grid[iu]
-    validated = bool(is_robinson(StepGraphon(grid), 1e-12).robinson)
+    out = StepGraphon(grid)
+    validated = bool(is_robinson(out, _robinson_tol(out)).robinson)
     grid.flags.writeable = False
     return RobinsonApprox(values=grid, alpha=float(alpha), grid_n=g,
                           mode="closed-form", robinson_validated=validated)

@@ -7,7 +7,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# symmetry slack accepted by the constructor / loader
+# symmetry slack accepted by the constructor / loader, relative to the
+# largest absolute entry
 SYMMETRY_TOL = 1e-12
 
 # refinement guard: refuse to materialise matrices beyond this side length
@@ -47,7 +48,8 @@ class StepGraphon:
     the value ``values[i, j]``.
 
     Values may be any finite reals (signed kernels are allowed); the matrix
-    must be symmetric within 1e-12, and is stored symmetrised and read-only.
+    must be symmetric within 1e-12 of its largest absolute entry, and is
+    stored symmetrised and read-only.
     """
 
     __slots__ = ("values",)
@@ -60,8 +62,9 @@ class StepGraphon:
             raise ValueError("empty matrix")
         if not np.all(np.isfinite(v)):
             raise ValueError("matrix contains non-finite entries")
-        if np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
-            raise ValueError("matrix is not symmetric within %g" % SYMMETRY_TOL)
+        if np.max(np.abs(v - v.T)) > SYMMETRY_TOL * np.max(np.abs(v)):
+            raise ValueError("matrix is not symmetric within %g of its largest entry"
+                             % SYMMETRY_TOL)
         v = (v + v.T) / 2.0
         v.flags.writeable = False
         self.values = v
@@ -143,7 +146,7 @@ def load_graphon(path) -> StepGraphon:
     reals.  Rows only: n lines of n whitespace-separated reals each, with n
     taken from the first line (a 1 x 1 matrix therefore needs the sized
     form).  ``#`` starts a comment; blank lines are ignored.  The matrix must
-    be symmetric within 1e-12.
+    be symmetric within 1e-12 of its largest absolute entry.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:

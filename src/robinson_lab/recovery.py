@@ -27,7 +27,7 @@ from .core import (MAX_REFINED_CELLS, StepGraphon, _seed, _whole_number, cutoff,
                    lp_norm, refine)
 from .cutnorm import DEFAULT_DISPATCH_CAP, cut_norm
 from .deviation import EXACT_DEVIATION_CAP, DeviationCertificate, deviation_exact, deviation_heuristic
-from .approx import RobinsonApprox, _alpha_zero_tol, _grid_size, robinson_approx
+from .approx import RobinsonApprox, _grid_size, _robinson_tol, robinson_approx
 
 
 def estimate_deviation(w: StepGraphon, refinement: int = 2, restarts: int = 50,
@@ -194,7 +194,7 @@ def _pipeline(w: StepGraphon, p: float, g: int, refinement: int, restarts: int,
     timings["deviation"] = time.perf_counter() - t0
 
     warning = threshold = lam_m = None
-    if lam == 0.0 and is_robinson(w, _alpha_zero_tol(w)).robinson:
+    if lam == 0.0 and is_robinson(w, _robinson_tol(w)).robinson:
         case, alpha = "alpha-zero", 0.0
         if g != w.n:
             warning = ("grid_n=%d ignored: a zero deviation returns the %dx%d input itself"

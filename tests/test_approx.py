@@ -119,13 +119,14 @@ def dense_ul_heuristic(v, alpha, a_caps, b_caps, iters=40):
     return best / (alpha * alpha), lone_mover
 
 
-def per_point_ul_heuristic(v, alpha, xs, ys, iters=40):
+def per_point_ul_heuristic(v, alpha, xs, ys, iters=40, runs=None):
     """The window search with each point on its own: every start alternates
     all rows together every round, and each row keeps a running maximum over
     the rounds it runs and stops once its T side repeats (or after
     ``iters`` rounds); 0 where a side lacks room.  Also reports whether a
     round saw exactly one of two or more running rows change its T side
-    (where the search pads its active set), and the rounds each start ran."""
+    (where the search pads its active set), and the rounds each start ran.
+    A list ``runs`` gets the number of running rows of every round."""
     n = v.shape[0]
     room = (xs >= alpha - GUARD) & (1.0 - ys >= alpha - GUARD)
     a_caps = _availability(xs[room], n, "left")
@@ -135,6 +136,8 @@ def per_point_ul_heuristic(v, alpha, xs, ys, iters=40):
     for t in dense_starts(v, alpha, b_caps):
         running = np.ones(len(a_caps), dtype=bool)
         for k in range(iters):
+            if runs is not None:
+                runs.append(np.count_nonzero(running))
             s = _knap_fill_batch(t @ v, a_caps, alpha)
             t_new = _knap_fill_batch(s @ v, b_caps, alpha)
             val = np.einsum("ij,ij->i", s @ v, t_new)
@@ -376,6 +379,33 @@ def test_heuristic_loop_matches_the_dense_reference():
     assert above > 0         # and some point beat the global stop test
 
 
+def test_a_start_ends_at_an_earlier_starts_fixed_point(monkeypatch):
+    # from an earlier start's fixed point a row would only repeat that start's
+    # last round, so the search drops it there: it runs fewer rows than the
+    # per-point loop, which goes on until the row's own T side repeats, and
+    # ends at the same values
+    top = approx_mod._knap_fill_top
+    rows = []
+
+    def spy(scores, caps, alpha, kk):
+        rows.append(len(scores))
+        return top(scores, caps, alpha, kk)
+
+    monkeypatch.setattr(approx_mod, "_knap_fill_top", spy)
+    for n, g, alpha, seed in ((32, 64, 0.2, 1), (16, 40, 0.25, 3)):
+        rng = np.random.Generator(np.random.Philox(seed))
+        m = rng.uniform(-0.3, 0.3, (n, n))
+        v = toeplitz_decay(n, seed=seed).values + 0.5 * (m + m.T)
+        _, _, xs, ys, room = approx_mod._corner_points(g, alpha)
+        xs, ys = xs[room], ys[room]
+        runs = []
+        want, _, _ = per_point_ul_heuristic(v, alpha, xs, ys, runs=runs)
+        rows.clear()
+        got = approx_mod._ul_heuristic_block(v, alpha, xs, ys)
+        assert np.array_equal(got, want)
+        assert sum(rows) < 2 * 0.8 * sum(runs)    # two responses a round
+
+
 # The most grid points one heuristic window search takes at each kernel size
 # that a pinned hash, an acceptance criterion or a benchmark workload uses
 # (feasible points, or g (g + 1) / 2 on recover's own grid).
@@ -536,7 +566,9 @@ def test_a_failing_block_raises_and_leaves_no_thread_behind(monkeypatch):
 def fill_rows(rng, p_cnt, n, alpha, kk):
     """Scores and caps that cover the top-K kernel's cases: random,
     three-valued and signed-zero scores; availability-like caps, rows with
-    at most kk open cells, and rows whose open mass is about alpha."""
+    at most kk open cells, rows with kk - 1, kk or kk + 1 open cells, rows
+    whose open mass is about alpha, and rows whose k-th and next keys are
+    zeros of either sign."""
     kind = rng.integers(3)
     if kind == 0:
         scores = rng.normal(size=(p_cnt, n))
@@ -546,12 +578,22 @@ def fill_rows(rng, p_cnt, n, alpha, kk):
         scores = np.where(rng.random((p_cnt, n)) < 0.5, -0.0, 0.0)
         scores[rng.random((p_cnt, n)) < 0.2] = 1.0
     caps = np.zeros((p_cnt, n))
-    for row in caps:
-        shape = rng.integers(4)
+    for score, row in zip(scores, caps):
+        shape = rng.integers(6)
         if shape == 0:                            # an availability row
             row[:] = _availability(rng.uniform(0.0, 1.0, 1), n, "right")[0]
         elif shape == 1:                          # random open cells
             row[rng.random(n) < rng.uniform(0.2, 1.0)] = 1.0 / n
+        elif shape == 4:                          # kk - 1, kk or kk + 1 open cells
+            m = min(max(kk + int(rng.integers(-1, 2)), 1), n)
+            row[rng.permutation(n)[:m]] = 1.0 / n
+        elif shape == 5:                          # +-0 ties at the k-th key
+            row[:] = 1.0 / n
+            order = rng.permutation(n)
+            score[:] = -1.0
+            score[order[:kk - 1]] = 1.0
+            zeros = order[kk - 1:kk + 1]
+            score[zeros] = np.where(rng.random(len(zeros)) < 0.5, -0.0, 0.0)
         else:                                     # open mass about alpha
             few = min(kk, n)
             m = int(rng.integers(1, few + 1) if shape == 2 else rng.integers(few, n + 1))
@@ -588,6 +630,37 @@ def test_top_k_fill_matches_the_full_sort(monkeypatch):
                     topk_rows += p_cnt
     assert gated
     assert 0 < sum(fallback_rows) < topk_rows      # some rows fell back, not all
+
+
+def test_top_k_fill_at_the_boundary_counts_of_open_cells(monkeypatch):
+    # kk - 1 open cells are all taken and padded with closed ones, kk or
+    # kk + 1 are decided by the value cut, and a +-0 tie at the k-th key
+    # (in either order) takes the full sort
+    full = approx_mod._knap_fill_batch
+    seen = []
+
+    def spy(scores, caps, alpha, minimize=False):
+        seen.append(np.array(scores))
+        return full(scores, caps, alpha, minimize)
+
+    monkeypatch.setattr(approx_mod, "_knap_fill_batch", spy)
+    n, alpha = 12, 0.2
+    kk = int(alpha * n) + 3
+    rng = np.random.Generator(np.random.Philox(517))
+    scores = rng.normal(size=(6, n))
+    caps = np.zeros((6, n))
+    for r, m in enumerate((kk - 1, kk, kk + 1)):
+        caps[r, rng.permutation(n)[:m]] = 1.0 / n
+    caps[3:] = 1.0 / n
+    scores[3:] = -1.0
+    scores[3:, :kk - 1] = 1.0
+    scores[3, [kk - 1, kk]] = [0.0, -0.0]
+    scores[4, [kk - 1, kk]] = [-0.0, 0.0]
+    scores[5, kk - 1] = 0.0                   # no tie: the next key is 1.0
+    got = _knap_fill_top(scores, _signed_caps(caps), alpha, kk)
+    assert np.array_equal(got, full(scores, caps, alpha))
+    assert not np.signbit(got).any()
+    assert len(seen) == 1 and np.array_equal(seen[0], scores[3:5])
 
 
 def test_top_k_fill_falls_back_only_when_the_slice_cannot_decide(monkeypatch):
@@ -865,3 +938,22 @@ def test_closed_form_rejects_non_robinson_input():
         closed_form_robinson_ae(bad, 0.25)
     with pytest.raises(ValueError):
         closed_form_robinson_ae(toeplitz_decay(4, seed=1), 0.0)
+
+
+def test_robinson_tolerance_is_relative_to_the_sup_norm():
+    # one dipped diagonal cell violates Robinson at every scale
+    dipped = np.array(toeplitz_decay(10, seed=4).values)
+    dipped[4, 4] -= 0.5
+    for c in (1.0, 1e-12):
+        with pytest.raises(ValueError, match="closed form needs a Robinson input"):
+            closed_form_robinson_ae(StepGraphon(c * dipped), 0.2)
+    # a Robinson kernel is one at every scale, and so are both approximations
+    base = toeplitz_decay(12, seed=3).values
+    for c in (1e-12, 1e9):
+        w = StepGraphon(c * base)
+        closed = closed_form_robinson_ae(w, 0.2)
+        assert closed.robinson_validated
+        for mode in ("exact", "heuristic"):
+            r = robinson_approx(w, 0.2, mode=mode)
+            assert r.robinson_validated
+            assert np.allclose(r.values, closed.values, rtol=0, atol=AGREE_TOL * c)

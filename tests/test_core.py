@@ -108,6 +108,16 @@ def test_constructor_symmetrises_within_tolerance():
     assert not w.values.flags.writeable
 
 
+def test_symmetry_tolerance_is_relative_to_the_largest_entry():
+    # as asymmetric as a matrix can be, however small its scale
+    with pytest.raises(ValueError, match="not symmetric"):
+        StepGraphon(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # symmetric to rounding, however large its scale
+    w = StepGraphon(1e6 * np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
+    assert w.values[0, 1] == w.values[1, 0]
+    assert StepGraphon(np.zeros((3, 3))).values.sum() == 0.0
+
+
 def test_arithmetic_and_resolution_guard():
     a = random_symmetric(4)
     b = random_symmetric(4)
