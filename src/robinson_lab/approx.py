@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import os
 import threading
 
@@ -28,6 +29,8 @@ GUARD = 1e-15                  # feasibility slack on measures
 EXTREME_POINT_BUDGET = 200_000  # exact-mode enumeration size limit
 BLOCK_CELLS = 1 << 16          # grid points x cells per block of the window search
 ROUNDS = 40                    # alternation rounds per start of the window search
+SHARED_RATIO = 4               # auto: shared exact search up to this many extreme
+                               # points per grid point (README design notes)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +373,83 @@ def ul_sup(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
     return float(vals.max() / (alpha * alpha)) if len(vals) else 0.0
 
 
+def _full_cells(alpha, n):
+    """(K, whole): an extreme point of one side over whole cells of 1/n has K
+    full cells, and unless ``whole`` (alpha - K/n within GUARD of 0) one more
+    cell holds the rest."""
+    k = int(np.floor(alpha * n + n * GUARD))
+    return k, alpha - k / n <= GUARD
+
+
+def _vertex_count(m, alpha, n):
+    """How many distinct extreme points one side has over m whole cells of
+    1/n: each K-subset, times the m - K cells that can hold the rest."""
+    k, whole = _full_cells(alpha, n)
+    return math.comb(m, k) * (1 if whole else max(m - k, 0))
+
+
+def _ul_exact_cells(v, alpha, i, j):
+    """Exact window suprema at the cell corners (i/n, (j+1)/n) of the n x n
+    kernel v, all from one enumeration of the S side.  Every point needs room
+    (see :func:`ul_sup`).
+
+    The S caps at x = i/n are cells 0 … i-1 whole, so that side's extreme
+    points are those of the largest x whose support lies below i: each is
+    scored once, E @ v, and the best T side at every y at once from a
+    right-to-left running top-(K+1) of its score row, filled as
+    :func:`_knap_fill_batch` fills it (ties to the lower cell).  A prefix
+    maximum over the points by last support cell then answers every x.  Each
+    point's value is ul_sup's up to rounding: the caps are its, but the
+    product rows, the sums and the side enumerated may differ."""
+    n = v.shape[0]
+    m, lo, hi = int(i.max()), int(j.min()) + 1, int(j.max()) + 1
+    d = _availability([1.0], n, "left")[0]          # every cell's cap, as ul_sup's
+    k_full, whole = _full_cells(alpha, n)
+    kk, span = k_full + 1, hi - lo + 1
+    per = 1 if whole else m - k_full                 # extreme points per K-subset
+    best = np.full((span, m + 1), -np.inf)           # by y, then last support cell + 1
+    walk = itertools.combinations(range(m), k_full)
+    step = max(1, 4 * BLOCK_CELLS // (per * max(n, kk * span)))
+    while chunk := list(itertools.islice(walk, step)):
+        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k_full)
+        sub, last = np.arange(len(chunk)), idx.max(axis=1, initial=-1)
+        if not whole:                                # the rest on each cell outside
+            sub, cell = np.nonzero(~(idx[:, :, None] == np.arange(m)).any(axis=1))
+            last = np.maximum(last[sub], cell)
+        rows = len(sub)
+        ext = np.zeros((rows, n))
+        ext[np.arange(rows)[:, None], idx[sub]] = d[idx[sub]]
+        if not whole:
+            rest = alpha - d[idx].sum(axis=1)
+            ext[np.arange(rows), cell] = np.minimum(rest[sub], d[cell])
+        score = (ext @ v).T.copy()
+        top = np.full((kk, rows), -np.inf)           # the kk best cells from c on,
+        cap = np.zeros((kk, rows))                   # and their caps
+        top_at = np.empty((kk, span, rows))
+        cap_at = np.empty((kk, span, rows))
+        for c in range(n - 1, lo - 1, -1):
+            s, t = score[c], np.full(rows, d[c])
+            for k in range(kk):                      # c goes before every equal score
+                sw = s >= top[k]
+                s, top[k] = np.minimum(s, top[k]), np.maximum(s, top[k])
+                cap[k], t = np.where(sw, t, cap[k]), np.where(sw, cap[k], t)
+            if c <= hi:
+                top_at[:, c - lo], cap_at[:, c - lo] = top, cap
+        vals, cum = np.zeros((span, rows)), np.zeros((span, rows))
+        for k in range(kk):                          # _knap_fill_batch's fill
+            nxt = cum + cap_at[k]
+            fill = np.clip(alpha - (nxt - cap_at[k]), 0.0, cap_at[k])
+            vals += np.where(fill > 0, top_at[k], 0.0) * fill
+            cum = nxt
+        order = np.argsort(last, kind="stable")
+        key = last[order] + 1
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key = key[first]
+        best[:, key] = np.maximum(best[:, key], np.maximum.reduceat(vals[:, order], first, axis=1))
+    best = np.maximum.accumulate(best, axis=1)
+    return best[j + 1 - lo, i] / (alpha * alpha)
+
+
 # ---------------------------------------------------------------------------
 # grid sampling, envelope, closed form
 
@@ -415,8 +495,9 @@ def _grid_size(w, grid_n):
 
 def _robinson_tol(w):
     """The Robinson tolerance of every check here (the alpha = 0 input, the
-    closed form's input, both outputs) and of recovery's alpha = 0 test:
-    1e-12 of w's sup norm, so the verdict does not depend on the units of w."""
+    closed form's input, both outputs), of recovery's alpha = 0 test and of
+    the CLI selftest: 1e-12 of w's sup norm, so the verdict does not depend
+    on the units of w."""
     return 1e-12 * float(np.abs(w.values).max())
 
 
@@ -439,9 +520,15 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
     monotone envelope, reflect.
 
     alpha = 0 is allowed only when w is already Robinson, within 1e-12 of its
-    sup norm, and the grid is its own (returns a read-only copy of w).  mode
-    "auto" picks exact enumeration for small problems and the alternating
-    heuristic otherwise.
+    sup norm, and the grid is its own (returns a read-only copy of w).
+
+    Exact mode on the kernel's own grid (g = n) runs one shared enumeration
+    for every grid point (:func:`_ul_exact_cells`); on another grid, or past
+    ``EXTREME_POINT_BUDGET`` shared extreme points, it calls :func:`ul_sup`
+    per point.  Mode "auto" picks exact when n <= 12 and g <= 32, and at
+    g = n also when the shared enumeration has at most ``SHARED_RATIO``
+    extreme points per grid point, which it counts in closed form before
+    enumerating anything; otherwise the alternating heuristic.
     """
     g = _grid_size(w, grid_n)
     if mode not in ("auto", "exact", "heuristic"):
@@ -459,16 +546,22 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
                               mode="identity", robinson_validated=True)
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in [0, 1)")
-    if mode == "auto":
-        mode = "exact" if (w.n <= 12 and g <= 32) else "heuristic"
 
     i, j, xs, ys, feasible = _corner_points(g, alpha)
+    pts = int(np.count_nonzero(feasible))
+    # at g = n one enumeration serves every point, costed before it runs
+    shared = _vertex_count(int(i[feasible].max()), alpha, g) if g == w.n and pts else None
+    if mode == "auto":
+        cheap = shared is not None and shared <= min(EXTREME_POINT_BUDGET, SHARED_RATIO * pts)
+        mode = "exact" if (w.n <= 12 and g <= 32) or cheap else "heuristic"
     vals = np.zeros(len(i))
-    if mode == "exact":
+    if mode == "heuristic":
+        vals[feasible] = _ul_heuristic_many(w.values, alpha, xs[feasible], ys[feasible])
+    elif shared is not None and shared <= EXTREME_POINT_BUDGET:
+        vals[feasible] = _ul_exact_cells(w.values, alpha, i[feasible], j[feasible])
+    else:
         for k in np.flatnonzero(feasible):
             vals[k] = ul_sup(w, float(xs[k]), float(ys[k]), alpha, mode="exact")
-    else:
-        vals[feasible] = _ul_heuristic_many(w.values, alpha, xs[feasible], ys[feasible])
 
     grid = np.zeros((g, g))
     grid[i, j] = vals

@@ -21,7 +21,7 @@ import traceback
 import numpy as np
 
 from . import cutnorm, deviation, synth, recovery, render
-from .approx import closed_form_robinson_ae, robinson_approx
+from .approx import _robinson_tol, closed_form_robinson_ae, robinson_approx
 from .combinatorics import IntervalSet, pigeonhole_shrink, split_with_small_remainder, interval_set_integral
 from .core import CellSet, StepGraphon, _rng, _whole_number, is_robinson, load_graphon, save_graphon
 from .regions import compute_regions, largest_grey_square, verify_partition
@@ -297,7 +297,8 @@ def _selftest_cases():
     def approx_is_robinson():
         w = synth.quadratic_sum(6)
         ra = robinson_approx(w, 0.2, mode="exact")
-        return ra.robinson_validated and is_robinson(ra.as_graphon(), 1e-12).robinson
+        out = ra.as_graphon()
+        return ra.robinson_validated and is_robinson(out, _robinson_tol(out)).robinson
 
     def closed_form_matches_on_robinson():
         w = synth.smooth_exp(6)

@@ -88,9 +88,10 @@ def proposition_constants(w: StepGraphon, p, refinement: int = 2,
 
     with the limiting exponents (-1/3, 2/5, -1/5) at p = inf.  Requires a
     nonnegative kernel with lpNorm(w, p) <= 1 and a positive deviation
-    estimate.  Returns ``(alpha, m)``; ``m`` feeds compute_regions.
+    estimate.  Returns ``(alpha, m)``; ``m`` feeds compute_regions.  The sign
+    check allows -1e-12 of the sup norm, so it does not depend on units.
     """
-    if w.values.min() < -1e-12:
+    if w.values.min() < -1e-12 * float(np.abs(w.values).max()):
         raise ValueError("kernel must be nonnegative")
     if lp_norm(w, p) > 1.0 + 1e-9:
         raise ValueError("lpNorm(w, p) must be <= 1")

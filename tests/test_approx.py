@@ -11,6 +11,7 @@ import pytest
 from robinson_lab import (
     StepGraphon,
     closed_form_robinson_ae,
+    cumulative_envelope,
     cut_norm_exact,
     is_robinson,
     lp_norm,
@@ -317,6 +318,126 @@ def test_extreme_point_walk_matches_the_per_subset_reference():
                 assert np.array_equal(got, want)
                 walked += got.shape[0] > 0
     assert walked >= 40
+
+
+# ---------------------------------------------------------------------------
+# the exact search shared by every cell corner at g = n
+
+def shared_tol(w, alpha):
+    """Rounding allowance between the shared search and per-point ul_sup.
+    Each sums K + 1 rounded products per side, in a different order, and
+    where the T side is the sparser ul_sup enumerates that side instead: each
+    lands within a few units in the last place of max|w| per summed cell."""
+    k = approx_mod._full_cells(alpha, w.n)[0]
+    return 1e-15 * (k + 1) * float(np.abs(w.values).max())
+
+
+def test_shared_exact_search_matches_ul_sup_at_every_corner():
+    # signed and nonnegative kernels, n = 2 .. 24, alpha n whole (alpha on a
+    # cell edge, so the first corner's x is alpha itself) and fractional
+    rng = np.random.Generator(np.random.Philox(121))
+    kernels = points = same_bits = 0
+    while kernels < 200:
+        n = int(rng.integers(2, 25))
+        w = sym(rng, n, (-1.0, 0.0)[kernels % 2], 1.0)
+        if kernels % 4 < 2:
+            alpha = int(rng.integers(1, min(3, n // 2) + 1)) / n
+        else:
+            alpha = float(rng.uniform(0.3, min(2.9, n / 2 - 0.1))) / n
+        i, j, xs, ys, feasible = approx_mod._corner_points(n, alpha)
+        if not feasible.any():
+            continue
+        got = approx_mod._ul_exact_cells(w.values, alpha, i[feasible], j[feasible])
+        want = np.array([ul_sup(w, float(x), float(y), alpha, mode="exact")
+                         for x, y in zip(xs[feasible], ys[feasible])])
+        assert np.all(np.abs(got - want) <= shared_tol(w, alpha))
+        kernels += 1
+        points += len(got)
+        same_bits += int(np.count_nonzero(got == want))
+    assert points > 5000 and same_bits > points // 2
+
+
+def test_exact_mode_at_the_kernels_grid_runs_one_shared_search(monkeypatch):
+    calls = []
+    real = approx_mod.ul_sup
+    monkeypatch.setattr(approx_mod, "ul_sup", lambda *a, **k: calls.append(a) or real(*a, **k))
+    w = sym(np.random.Generator(np.random.Philox(122)), 10, -1.0, 1.0)
+    shared = robinson_approx(w, 0.2, mode="exact")
+    assert calls == [] and shared.mode == "exact" and shared.robinson_validated
+    # past the budget the per-point walk runs: at n = 10, alpha = 0.2 the
+    # shared search has C(8, 2) = 28 extreme points and each point's sparser
+    # side at most 3 C(4, 2) = 18 rows
+    monkeypatch.setattr(approx_mod, "EXTREME_POINT_BUDGET", 20)
+    walked = robinson_approx(w, 0.2, mode="exact")
+    assert len(calls) == np.count_nonzero(approx_mod._corner_points(10, 0.2)[4])
+    assert walked.mode == "exact"
+    assert np.all(np.abs(walked.values - shared.values) <= shared_tol(w, 0.2))
+
+
+def test_shared_exact_search_is_at_least_the_heuristic():
+    rng = np.random.Generator(np.random.Philox(123))
+    above = 0
+    for n in (16, 20, 24, 32, 40):
+        for an in (0.9, 1.5, 2.0, 2.6):
+            m = rng.uniform(-0.3, 0.3, (n, n))
+            w = StepGraphon(toeplitz_decay(n, seed=n).values + 0.5 * (m + m.T))
+            alpha, tol = an / n, shared_tol(w, an / n)
+            i, j, xs, ys, feasible = approx_mod._corner_points(n, alpha)
+            exact = approx_mod._ul_exact_cells(w.values, alpha, i[feasible], j[feasible])
+            heur = _ul_heuristic_many(w.values, alpha, xs[feasible], ys[feasible])
+            assert np.all(exact >= heur - tol)
+            above += int(np.count_nonzero(exact > heur + tol))
+            ex = robinson_approx(w, alpha, mode="exact")
+            he = robinson_approx(w, alpha, mode="heuristic")
+            assert ex.mode == "exact" and ex.robinson_validated
+            assert np.all(ex.values >= he.values - tol)
+    assert above > 0            # the heuristic misses somewhere, so this can tell
+
+
+def test_shared_exact_search_matches_the_closed_form_on_robinson_inputs(monkeypatch):
+    monkeypatch.setattr(approx_mod, "ul_sup", None)     # the per-point walk never runs
+    makers = (toeplitz_decay, cumulative_envelope, lambda n, seed: smooth_exp(n))
+    for n in (9, 16, 24, 31):
+        for k, make in enumerate(makers):
+            w = make(n, seed=n + k)
+            for an in (1.0, 1.5, 2.0, 3.0):
+                a = robinson_approx(w, an / n, mode="exact").values
+                b = closed_form_robinson_ae(w, an / n).values
+                assert np.max(np.abs(a - b)) <= AGREE_TOL * float(np.abs(w.values).max())
+
+
+def test_auto_mode_prices_the_shared_search_before_it_enumerates(monkeypatch):
+    walked = []
+    monkeypatch.setattr(approx_mod.itertools, "combinations",
+                        lambda *a: walked.append(a) or iter(()))
+    monkeypatch.setattr(approx_mod, "_ul_heuristic_many",
+                        lambda v, alpha, xs, ys: np.zeros(len(xs)))
+    # approx_large's five shapes and criterion 9's
+    for n, alpha, grid_n in ((128, 0.2, None), (128, 0.1, None), (64, 0.2, 256),
+                             (32, 0.2, 512), (160, 0.2, None), (200, 0.05, None)):
+        assert robinson_approx(toeplitz_decay(n, seed=1), alpha, grid_n=grid_n).mode == "heuristic"
+    assert walked == []
+
+
+def test_vertex_count_is_the_number_of_distinct_extreme_points():
+    # uniform caps of m whole cells; whole-cell alpha emits each K-subset
+    # K + 1 times (n = 16, alpha = 0.25: 9,100 rows for 1,820 points)
+    checked = 0
+    for n in range(2, 21):
+        for m in sorted({1, n // 2, n - 1, n} - {0}):
+            caps = _availability([m / n], n, "left")[0]
+            for an in {k + f for k in range(4) for f in (0.0, 0.3, 0.71)}:
+                if not 0 < an <= m:
+                    continue
+                rows = approx_mod._extreme_side_vectors(caps, an / n)
+                distinct = len(np.unique(np.round(rows * n, 9), axis=0))
+                assert approx_mod._vertex_count(m, an / n, n) == distinct
+                checked += 1
+    assert checked > 300
+    for n, alpha, rows, points in ((16, 0.25, 9100, 1820), (20, 0.1, 570, 190)):
+        caps = _availability([1.0], n, "left")[0]
+        assert len(approx_mod._extreme_side_vectors(caps, alpha)) == rows
+        assert approx_mod._vertex_count(n, alpha, n) == points
 
 
 def test_ul_sup_monotone_in_the_available_room():
@@ -832,6 +953,14 @@ def test_robinson_approx_auto_mode_switch():
     assert small.mode == "exact"
     big = robinson_approx(toeplitz_decay(16, seed=1), 0.25)
     assert big.mode == "heuristic"
+    # n <= 12 and g <= 32 is exact at any grid; above it, only the kernel's
+    # own grid is, and only while the shared search has at most SHARED_RATIO
+    # extreme points per grid point (n = 16, alpha = 0.25: 330 for 36)
+    assert robinson_approx(toeplitz_decay(8, seed=1), 0.25, grid_n=20).mode == "exact"
+    w = toeplitz_decay(40, seed=1)
+    assert robinson_approx(w, 1.7 / 40).mode == "exact"          # 1,332 for 666
+    assert robinson_approx(w, 2.5 / 40).mode == "heuristic"      # 21,420 for 595
+    assert robinson_approx(w, 1.7 / 40, grid_n=80).mode == "heuristic"
 
 
 def test_every_emitted_approximation_is_robinson():

@@ -117,6 +117,18 @@ def test_proposition_constants_arithmetic_pin(monkeypatch):
     assert m == 2                        # ceil(0.5^(-1/7)) = ceil(1.104...)
 
 
+def test_proposition_constants_sign_check_is_relative_to_the_sup_norm():
+    # two symmetric entries at -1e-13 on a 1e-14-scale kernel: negative at
+    # every scale, though an absolute -1e-12 floor passes them
+    v = 1e-14 * np.array(_case1_kernel().values)
+    v[0, 3] = v[3, 0] = -1e-13
+    with pytest.raises(ValueError, match="kernel must be nonnegative"):
+        proposition_constants(StepGraphon(v), 6.0)
+    # a kernel at 1e-14 of the scale with no negative entry passes the check
+    alpha, m = proposition_constants(StepGraphon(1e-14 * _case1_kernel().values), 6.0)
+    assert 0 < alpha and m >= 1
+
+
 def test_proposition_constants_validation():
     with pytest.raises(ValueError):
         proposition_constants(toeplitz_decay(6, seed=1), 6.0)   # zero deviation
@@ -426,9 +438,9 @@ GOLDEN_PINS = (
     ("bounded-alpha-zero-grid4", lambda: recover_bounded(toeplitz_decay(6, seed=3), grid_n=4),
      "db8266ee1815693525ef412fdf44c1ff3653496ef7c68259a30fb50e34bc67c5"),
     ("recover-fallback", lambda: recover(_dipped_diagonal(), p=6.0),
-     "5297264b17a75c41cf3c0252848fd10d6d2e7974029751a613ff1179fabe8553"),
+     "2d4e9cd29782134597d58cbf0cf3a5a51bf74624724f38090e4cea6efc0c4b6f"),
     ("bounded-fallback", lambda: recover_bounded(_dipped_diagonal()),
-     "3fc0cb2bb16fc93cc317f9adf1cc0176ddc573e7f7ed9b18dec97f267ca2aaa6"),
+     "8cb1a3bf7d7bc03bbf0e8084854dc6f5923fddecb220f49cb499d8007e35c929"),
     ("recover-case1", lambda: recover(_case1_kernel(), p=6.0),
      "2e745a338682025e3f3995c2926f282a1cc086bbbc5b8b867e2203f7c2b6fb01"),
     ("recover-case1-grid12", lambda: recover(_case1_kernel(), p=6.0, grid_n=12),

@@ -24,6 +24,7 @@ from robinson_lab import (
     toeplitz_decay,
 )
 from robinson_lab import cli
+from robinson_lab.approx import RobinsonApprox
 from robinson_lab.render import (
     heatmap_svg,
     region_csv,
@@ -526,6 +527,19 @@ def test_cli_selftest_passes(capsys):
     assert lines[-1] == "10/10 passed"
     assert len(lines) == 11
     assert all(line.endswith("PASS") for line in lines[:-1])
+
+
+def test_cli_selftest_robinson_check_is_relative_to_the_sup_norm(monkeypatch, capsys):
+    # a 1e-13-scale approximation with a dipped diagonal cell, below its
+    # neighbours by 2e-14: not Robinson, though an absolute 1e-12 passes it
+    vals = 1e-13 * np.array(toeplitz_decay(6, seed=1).values)
+    vals[2, 2] -= 0.7e-13
+    fake = RobinsonApprox(values=vals, alpha=0.2, grid_n=6, mode="exact",
+                          robinson_validated=True)
+    monkeypatch.setattr(cli, "robinson_approx", lambda *args, **kwargs: fake)
+    assert cli.main(["selftest"]) == 1
+    rows = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.strip().split("\n")[:-1])
+    assert rows["approximation is Robinson"] == "FAIL"
 
 
 def test_console_script_smoke(tmp_path):
