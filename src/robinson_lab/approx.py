@@ -294,47 +294,51 @@ def _ul_heuristic_many(v, alpha, xs, ys):
     return out
 
 
-def _extreme_side_vectors(caps, alpha):
-    """All extreme points of {0 <= s <= caps, sum s = alpha} as rows.
+def _extreme_side_vectors(caps, alpha, chunk=4096):
+    """Walk the extreme points of {0 <= s <= caps, sum s = alpha}, each once.
 
-    Extremes take full caps on a subset F plus at most one fractional cell.
-    |F| is at most how many of the smallest caps fit under alpha and at
-    least one less than how many of the largest reach it; only those sizes
-    are walked.  The caps must hold alpha (:func:`ul_sup` checks room), so
-    all of them are taken even where their rounded sum falls short.  Raises
-    past ``EXTREME_POINT_BUDGET`` extreme points (use the heuristic).  The
-    subsets of one size are walked as arrays, 4096 at a time, in walk order.
+    Yields (rows, last) per ``chunk`` subsets, in walk order: the points and
+    each one's last support cell.  A point takes full caps on a subset F and
+    the rest on at most one more cell, which it leaves more than GUARD below
+    its cap (a cell filled to its cap is in F).  |F| runs from the fewest
+    largest caps that reach alpha (one fewer where they pass it by more than
+    GUARD) to the most smallest caps that fit under it.  The caps must hold
+    alpha (:func:`ul_sup` checks room), so all of them are taken even where
+    their rounded sum falls short.  Raises past ``EXTREME_POINT_BUDGET``
+    points (use the heuristic).
     """
     active = np.flatnonzero(caps > GUARD)
     m = len(active)
-    a = caps[active]
-    asc = np.sort(a)
-    kmin = int(np.searchsorted(np.cumsum(asc[::-1]), alpha - GUARD))
+    asc = np.sort(caps[active])
+    top = np.cumsum(asc[::-1])
+    kmin = min(int(np.searchsorted(top, alpha - GUARD)) + 1,
+               int(np.searchsorted(top, alpha + GUARD, side="right")))
     kmax = int(np.searchsorted(np.cumsum(asc), alpha + GUARD, side="right"))
-    rows = [np.zeros((0, m))]
     count = 0
     for k in range(kmin, min(kmax, m) + 1):
-        walk = itertools.combinations(range(m), k)
-        while chunk := list(itertools.islice(walk, 4096)):
-            idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
-            rem = alpha - a[idx].sum(axis=1)
-            taken = (idx[:, :, None] == np.arange(m)).any(axis=1)
-            whole = (rem >= -GUARD) & ((rem <= GUARD) | (k == m))
-            # a subset short of alpha takes one more free cell whose cap covers rem
-            frac = ~taken & (a >= rem[:, None] - GUARD) & ((rem > GUARD) & (k < m))[:, None]
-            per = np.where(whole, 1, frac.sum(axis=1))
-            block = np.where(taken, a, 0.0)[np.repeat(np.arange(len(chunk)), per)]
-            sub, cell = np.nonzero(frac)
-            block[np.flatnonzero(~np.repeat(whole, per)), cell] = np.minimum(rem[sub], a[cell])
-            rows.append(block)
-            count += len(block)
+        walk = itertools.combinations(active.tolist(), k)
+        while subsets := list(itertools.islice(walk, chunk)):
+            idx = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
+            rem = alpha - caps[idx].sum(axis=1)
+            # column 0: the subset reaches alpha alone; column c + 1: it falls
+            # short and free cell c takes the rest with room to spare
+            short = np.where((rem > GUARD) & (k < m), rem, np.inf)
+            opt = np.column_stack(((rem >= -GUARD) & ((rem <= GUARD) | (k == m)),
+                                   caps - GUARD > short[:, None]))
+            opt[np.arange(len(idx))[:, None], idx + 1] = False
+            sub, col = np.divmod(np.flatnonzero(opt), opt.shape[1])
+            count += len(sub)
             if count > EXTREME_POINT_BUDGET:
                 raise ValueError("exact mode: extreme-point budget %d exceeded; "
                                  "use the heuristic" % EXTREME_POINT_BUDGET)
-    packed = np.concatenate(rows, axis=0)
-    out = np.zeros((packed.shape[0], len(caps)))
-    out[:, active] = packed
-    return out
+            if not len(sub):
+                continue
+            full, split = idx[sub], np.flatnonzero(col)
+            rows = np.zeros((len(sub), len(caps)))
+            rows[np.arange(len(sub))[:, None], full] = caps[full]
+            rows[split, col[split] - 1] = rem[sub[split]]
+            # combinations keep active's order: a subset's last cell is its largest
+            yield rows, np.maximum(full[:, -1:].max(axis=1, initial=-1), col - 1)
 
 
 def ul_sup(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact") -> float:
@@ -367,7 +371,8 @@ def ul_sup(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
     # just transposes the objective
     na, nb = int(np.count_nonzero(a > GUARD)), int(np.count_nonzero(b > GUARD))
     enum, other = (a, b) if na <= nb else (b, a)
-    scores = _extreme_side_vectors(enum, alpha) @ w.values
+    ext = [rows for rows, _ in _extreme_side_vectors(enum, alpha)]
+    scores = np.concatenate([np.zeros((0, w.n))] + ext) @ w.values
     resp = _knap_fill_batch(scores, np.broadcast_to(other, scores.shape), alpha)
     vals = np.einsum("ij,ij->i", scores, resp)
     return float(vals.max() / (alpha * alpha)) if len(vals) else 0.0
@@ -390,8 +395,8 @@ def _vertex_count(m, alpha, n):
 
 def _ul_exact_cells(v, alpha, i, j):
     """Exact window suprema at the cell corners (i/n, (j+1)/n) of the n x n
-    kernel v, all from one enumeration of the S side.  Every point needs room
-    (see :func:`ul_sup`).
+    kernel v, all from one walk of the S side (:func:`_extreme_side_vectors`).
+    Every point needs room (see :func:`ul_sup`).
 
     The S caps at x = i/n are cells 0 … i-1 whole, so that side's extreme
     points are those of the largest x whose support lies below i: each is
@@ -408,20 +413,9 @@ def _ul_exact_cells(v, alpha, i, j):
     kk, span = k_full + 1, hi - lo + 1
     per = 1 if whole else m - k_full                 # extreme points per K-subset
     best = np.full((span, m + 1), -np.inf)           # by y, then last support cell + 1
-    walk = itertools.combinations(range(m), k_full)
     step = max(1, 4 * BLOCK_CELLS // (per * max(n, kk * span)))
-    while chunk := list(itertools.islice(walk, step)):
-        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k_full)
-        sub, last = np.arange(len(chunk)), idx.max(axis=1, initial=-1)
-        if not whole:                                # the rest on each cell outside
-            sub, cell = np.nonzero(~(idx[:, :, None] == np.arange(m)).any(axis=1))
-            last = np.maximum(last[sub], cell)
-        rows = len(sub)
-        ext = np.zeros((rows, n))
-        ext[np.arange(rows)[:, None], idx[sub]] = d[idx[sub]]
-        if not whole:
-            rest = alpha - d[idx].sum(axis=1)
-            ext[np.arange(rows), cell] = np.minimum(rest[sub], d[cell])
+    for ext, last in _extreme_side_vectors(_availability([m / n], n, "left")[0], alpha, step):
+        rows = len(ext)
         score = (ext @ v).T.copy()
         top = np.full((kk, rows), -np.inf)           # the kk best cells from c on,
         cap = np.zeros((kk, rows))                   # and their caps

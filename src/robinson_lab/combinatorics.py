@@ -124,7 +124,7 @@ class _Compressed:
 
 def _first_window(comp: _Compressed, delta, bound, wrap):
     """Latest compressed start s with |window integral| <= bound, up to a
-    slack of 1e-12 (1 + int_P |u|) for the rounding of the integrals.
+    slack of 1e-12 int_P |u|, which scales with u, for their rounding.
 
     Non-wrap windows are [s, s+delta] for s in [0, L-delta]; wrap windows are
     [s, L] + [0, s+delta-L] for s in [L-delta, L].  The window integral is
@@ -134,7 +134,7 @@ def _first_window(comp: _Compressed, delta, bound, wrap):
     that when many windows qualify the remainder sits at the tail of P (the
     even-chop convention).
     """
-    slack = 1e-12 * (1.0 + float(np.abs(np.diff(comp.h_pref)).sum()))
+    slack = 1e-12 * float(np.abs(np.diff(comp.h_pref)).sum())
     ln, edges = comp.length, comp.comp_edges
     lo_s, hi_s = (ln - delta, ln) if wrap else (0.0, ln - delta)
     shift = ln - delta if wrap else -delta       # adding -delta subtracts delta exactly
@@ -232,7 +232,8 @@ def pigeonhole_shrink(f: StepGraphon, rows: CellSet, cols: CellSet, alpha: float
     Pigeonhole: the l rows with the largest sums over cols average at least
     the mean row, and so do the l columns with the largest sums over those
     rows.  Further best responses (rows given the columns, then columns given
-    the rows) only raise the box sum; they repeat while it grows.
+    the rows) only raise the box sum; they repeat while it grows at all, and
+    the density check is relative, so the units of f do not matter.
     """
     q = f.n
     if rows.resolution != q or cols.resolution != q:
@@ -259,12 +260,12 @@ def pigeonhole_shrink(f: StepGraphon, rows: CellSet, cols: CellSet, alpha: float
         i_in = _top_cells(b[:, j_in].sum(axis=1), l)
         j_in = _top_cells(b[i_in].sum(axis=0), l)
         grown = b[np.ix_(i_in, j_in)].sum()
-        if grown <= box + 1e-15:
+        if grown <= box:
             break
         box = grown
 
     density = grown / ((l / q) * (l / q))
-    if density < target_density - 1e-9:
+    if density < target_density * (1 - 1e-9):
         raise AssertionError("density guarantee missed: %g < %g"
                              % (density, target_density))
     row_idx = tuple(rows.indices[i] for i in np.flatnonzero(i_in))

@@ -86,19 +86,16 @@ def proposition_constants(w: StepGraphon, p, refinement: int = 2,
     alpha = ||w||_inf^(-p/(3p-2)) * lam^(2p/(5p-2)),
     m     = ceil(lam^(-(p-2)/(5p-2))),
 
-    with the limiting exponents (-1/3, 2/5, -1/5) at p = inf.  Requires a
-    nonnegative kernel with lpNorm(w, p) <= 1 and a positive deviation
-    estimate.  Returns ``(alpha, m)``; ``m`` feeds compute_regions.  The sign
-    check allows -1e-12 of the sup norm, so it does not depend on units.
+    with the limiting exponents (-1/3, 2/5, -1/5) at p = inf.  Requires
+    p > 1 (checked before the deviation search), a nonnegative kernel with
+    lpNorm(w, p) <= 1 and a positive deviation estimate.  Returns
+    ``(alpha, m)``; ``m`` feeds compute_regions.  The sign check allows
+    -1e-12 of the sup norm, so it does not depend on units.
     """
     if w.values.min() < -1e-12 * float(np.abs(w.values).max()):
         raise ValueError("kernel must be nonnegative")
     if lp_norm(w, p) > 1.0 + 1e-9:
         raise ValueError("lpNorm(w, p) must be <= 1")
-    lam = estimate_deviation(w, refinement, restarts, seed).value
-    if lam <= 0:
-        raise ValueError("deviation estimate is zero; constants undefined")
-    sup = lp_norm(w, np.inf)
     if math.isinf(p):
         ea, el, em = -1.0 / 3.0, 0.4, -0.2
     else:
@@ -108,6 +105,10 @@ def proposition_constants(w: StepGraphon, p, refinement: int = 2,
         ea = -p / (3.0 * p - 2.0)
         el = 2.0 * p / (5.0 * p - 2.0)
         em = -(p - 2.0) / (5.0 * p - 2.0)
+    lam = estimate_deviation(w, refinement, restarts, seed).value
+    if lam <= 0:
+        raise ValueError("deviation estimate is zero; constants undefined")
+    sup = lp_norm(w, np.inf)
     alpha = sup ** ea * lam ** el
     m = max(1, math.ceil(lam ** em - 1e-9))
     return float(alpha), m

@@ -229,7 +229,8 @@ def test_ul_sup_heuristic_is_a_lower_bound():
 
 def test_exact_mode_walks_only_block_sizes_that_reach_alpha(monkeypatch):
     # 20 open cells a side and alpha = 0.45 = 18 cells: the subsets of fewer
-    # than 17 full cells cannot reach alpha and are not walked
+    # than 18 full cells cannot reach alpha, nor put the rest on one more
+    # cell short of its cap, and are not walked
     combinations, sizes = itertools.combinations, []
 
     def spy(pool, k):
@@ -240,17 +241,32 @@ def test_exact_mode_walks_only_block_sizes_that_reach_alpha(monkeypatch):
     monkeypatch.setattr(approx_mod.itertools, "combinations", spy)
     exact = ul_sup(w, 0.5, 0.5, 0.45, mode="exact")
     monkeypatch.undo()
-    assert sizes == [17, 18]
+    assert sizes == [18]
     assert exact >= ul_sup(w, 0.5, 0.5, 0.45, mode="heuristic") - LOWER_TOL
 
 
 def test_exact_mode_stops_at_the_extreme_point_budget():
     with pytest.raises(ValueError, match="extreme-point budget"):
         ul_sup(toeplitz_decay(44, seed=1), 0.5, 0.5, 0.25, "exact")
+    # the budget counts distinct points: C(20, 7) = 77,520 here, where a
+    # row for each 7-subset and each of its 6-subsets would be 620,160
+    w = toeplitz_decay(40, seed=1)
+    assert ul_sup(w, 0.5, 0.5, 7 / 40, "exact") >= ul_sup(w, 0.5, 0.5, 7 / 40,
+                                                          "heuristic") - LOWER_TOL
+
+
+def walk_rows(caps, alpha, chunk=4096):
+    """The rows and last support cells of the extreme-point walk, stacked."""
+    blocks = list(approx_mod._extreme_side_vectors(caps, alpha, chunk))
+    return (np.concatenate([np.zeros((0, len(caps)))] + [r for r, _ in blocks]),
+            np.concatenate([np.zeros(0, dtype=np.intp)] + [c for _, c in blocks]))
 
 
 def reference_extreme_side_vectors(caps, alpha):
-    """The per-subset loop form of _extreme_side_vectors."""
+    """The per-subset loop form of _extreme_side_vectors: a free cell takes
+    the rest only when that leaves it more than GUARD short of its cap.  It
+    also walks the subsets one cell smaller than the fewest largest caps
+    that reach alpha, which the walk skips where they hold no point."""
     active = np.flatnonzero(caps > GUARD)
     m = len(active)
     a = caps[active]
@@ -273,11 +289,11 @@ def reference_extreme_side_vectors(caps, alpha):
                 count += 1
             else:
                 free = np.setdiff1d(np.arange(m), idx, assume_unique=True)
-                good = free[a[free] >= rem - GUARD]
+                good = free[a[free] - GUARD > rem]
                 if good.size:
                     block = np.zeros((good.size, m))
                     block[:, idx] = a[idx][None, :]
-                    block[np.arange(good.size), good] = np.minimum(rem, a[good])
+                    block[np.arange(good.size), good] = rem
                     rows.append(block)
                     count += int(good.size)
             if count > EXTREME_POINT_BUDGET:
@@ -300,9 +316,16 @@ def test_extreme_point_walk_matches_the_per_subset_reference():
         except ValueError as exc:
             return str(exc)
 
+    def stacked(caps, alpha):       # in blocks of 4096 and of 7 subsets alike
+        rows, last = walk_rows(caps, alpha)
+        small, small_last = walk_rows(caps, alpha, 7)
+        assert np.array_equal(small, rows) and np.array_equal(small_last, last)
+        assert np.array_equal(last, len(caps) - 1 - np.argmax(rows[:, ::-1] > 0, axis=1))
+        return rows
+
     rng = np.random.Generator(np.random.Philox(117))
     cases = [(40, 0.5, 0.45), (12, 0.25, 0.25), (5, 0.5, 0.05), (20, 0.55, 0.32),
-             (44, 0.5, 0.25)]                       # the last one exceeds the budget
+             (44, 0.5, 0.24)]                       # the last one exceeds the budget
     for _ in range(60):
         n = int(rng.integers(2, 17))
         cases.append((n, float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.02, 0.5))))
@@ -310,7 +333,7 @@ def test_extreme_point_walk_matches_the_per_subset_reference():
     for n, x, alpha in cases:
         for side in ("left", "right"):
             caps = _availability([x], n, side)[0]
-            got = walk(approx_mod._extreme_side_vectors, caps, alpha)
+            got = walk(stacked, caps, alpha)
             want = walk(reference_extreme_side_vectors, caps, alpha)
             if isinstance(want, str):
                 assert got == want
@@ -366,7 +389,7 @@ def test_exact_mode_at_the_kernels_grid_runs_one_shared_search(monkeypatch):
     assert calls == [] and shared.mode == "exact" and shared.robinson_validated
     # past the budget the per-point walk runs: at n = 10, alpha = 0.2 the
     # shared search has C(8, 2) = 28 extreme points and each point's sparser
-    # side at most 3 C(4, 2) = 18 rows
+    # side at most C(4, 2) = 6
     monkeypatch.setattr(approx_mod, "EXTREME_POINT_BUDGET", 20)
     walked = robinson_approx(w, 0.2, mode="exact")
     assert len(calls) == np.count_nonzero(approx_mod._corner_points(10, 0.2)[4])
@@ -420,8 +443,8 @@ def test_auto_mode_prices_the_shared_search_before_it_enumerates(monkeypatch):
 
 
 def test_vertex_count_is_the_number_of_distinct_extreme_points():
-    # uniform caps of m whole cells; whole-cell alpha emits each K-subset
-    # K + 1 times (n = 16, alpha = 0.25: 9,100 rows for 1,820 points)
+    # uniform caps of m whole cells: the walk lists each point once, also
+    # where alpha n is whole (n = 16, alpha = 0.25: 1,820 rows and points)
     checked = 0
     for n in range(2, 21):
         for m in sorted({1, n // 2, n - 1, n} - {0}):
@@ -429,14 +452,14 @@ def test_vertex_count_is_the_number_of_distinct_extreme_points():
             for an in {k + f for k in range(4) for f in (0.0, 0.3, 0.71)}:
                 if not 0 < an <= m:
                     continue
-                rows = approx_mod._extreme_side_vectors(caps, an / n)
+                rows = walk_rows(caps, an / n)[0]
                 distinct = len(np.unique(np.round(rows * n, 9), axis=0))
-                assert approx_mod._vertex_count(m, an / n, n) == distinct
+                assert len(rows) == distinct == approx_mod._vertex_count(m, an / n, n)
                 checked += 1
     assert checked > 300
-    for n, alpha, rows, points in ((16, 0.25, 9100, 1820), (20, 0.1, 570, 190)):
+    for n, alpha, points in ((16, 0.25, 1820), (20, 0.1, 190)):
         caps = _availability([1.0], n, "left")[0]
-        assert len(approx_mod._extreme_side_vectors(caps, alpha)) == rows
+        assert len(walk_rows(caps, alpha)[0]) == points
         assert approx_mod._vertex_count(n, alpha, n) == points
 
 

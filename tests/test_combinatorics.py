@@ -215,7 +215,7 @@ class ReferenceCompressed:
 
 def reference_first_window(comp, delta, bound, wrap):
     """The per-piece loop form of combinatorics._first_window."""
-    slack = 1e-12 * (1.0 + float(np.abs(np.diff(comp.h_pref)).sum()))
+    slack = 1e-12 * float(np.abs(np.diff(comp.h_pref)).sum())
     ln = comp.length
     edges = comp.comp_edges
     if wrap:
@@ -312,6 +312,34 @@ def test_split_tolerates_rounding_at_large_scales():
         assert part.intervals[0] == pytest.approx((lo, hi), abs=1e-12)
     assert res.remainder_integral > res.target_bound          # by rounding only
     assert res.remainder_integral <= res.target_bound * (1 + 1e-15)
+
+
+def test_split_is_homogeneous_in_the_scale_of_u():
+    # scaling u scales every window integral and the bound alike, so the
+    # parts stay put; a slack with an absolute floor accepted every window
+    # at 1e-15, and the latest one often lay above the bound
+    rng = np.random.Generator(np.random.Philox(412))
+    done = 0
+    while done < 100:
+        q = int(rng.integers(1, 41))
+        u = rng.uniform(-2, 2, q)
+        cuts = np.sort(rng.uniform(0, 1, 2 * int(rng.integers(1, 4))))
+        ivs = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if b - a > 0.02]
+        if not ivs:
+            continue
+        p = IntervalSet(tuple(ivs))
+        if abs(interval_set_integral(u, p)) < 1e-3:
+            continue
+        beta = float(rng.uniform(0.1, 0.9)) * p.measure
+        base = split_with_small_remainder(u, p, beta)
+        ends = [iv for part in base.parts for iv in part.intervals]
+        for scale in (1e-15, 1e6):
+            res = split_with_small_remainder(scale * u, p, beta)
+            assert abs(res.remainder_integral) <= res.target_bound * (1 + 1e-9)
+            got = [iv for part in res.parts for iv in part.intervals]
+            assert len(got) == len(ends)
+            assert np.max(np.abs(np.subtract(got, ends))) <= 1e-15
+        done += 1
 
 
 def test_split_determinism():
@@ -423,6 +451,28 @@ def test_shrink_random_instances_vs_exhaustive():
         got = density_of(f, t, tp)
         assert got >= density_of(f, rows, cols) - 1e-9
         assert got <= oracle_best_density(f, idx_r, idx_c, l, l) + 1e-9
+
+
+def test_shrink_is_homogeneous_in_the_scale_of_f():
+    # the rounds stop when the box sum stops rising and the density check is
+    # relative, so scaling f changes neither the sets nor the verdict; an
+    # absolute 1e-15 stop cut the rounds short at 1e-20, and an absolute 1e-9
+    # density check failed constant kernels at 1e9 on rounding alone
+    rng = np.random.Generator(np.random.Philox(411))
+    for case in range(200):
+        q = int(rng.integers(2, 13))
+        k = int(rng.integers(1, q + 1))
+        l = int(rng.integers(1, k + 1))
+        rows = CellSet(q, tuple(sorted(rng.choice(q, k, replace=False).tolist())))
+        cols = CellSet(q, tuple(sorted(rng.choice(q, k, replace=False).tolist())))
+        if case % 2:
+            v = np.full((q, q), float(rng.uniform(0.1, 3.0)))
+        else:
+            m = rng.uniform(0.0, 2.0, (q, q))
+            v = 0.5 * (m + m.T)
+        base = pigeonhole_shrink(StepGraphon(v), rows, cols, l / k)
+        for scale in (1e-20, 1e9, 1e12):
+            assert pigeonhole_shrink(StepGraphon(scale * v), rows, cols, l / k) == base
 
 
 def test_shrink_determinism():

@@ -129,6 +129,18 @@ def test_proposition_constants_sign_check_is_relative_to_the_sup_norm():
     assert 0 < alpha and m >= 1
 
 
+def test_proposition_constants_checks_p_before_the_deviation_search(monkeypatch):
+    searches = []
+    monkeypatch.setattr("robinson_lab.recovery.estimate_deviation",
+                        lambda *a, **k: searches.append(a) or fixed_certificate(0.5))
+    for p in (1.0, 0.5, -math.inf):
+        with pytest.raises(ValueError):
+            proposition_constants(N3, p)
+    assert searches == []
+    proposition_constants(N3, 6.0)
+    assert len(searches) == 1
+
+
 def test_proposition_constants_validation():
     with pytest.raises(ValueError):
         proposition_constants(toeplitz_decay(6, seed=1), 6.0)   # zero deviation

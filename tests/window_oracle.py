@@ -56,9 +56,10 @@ def lr_inf(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
             if a.sum() < alpha - GUARD or b.sum() < alpha - GUARD:
                 continue
             if exact:
-                s_mat = _extreme_side_vectors(a, alpha)
-                if not len(s_mat):
+                blocks = [rows for rows, _ in _extreme_side_vectors(a, alpha)]
+                if not blocks:
                     continue
+                s_mat = np.concatenate(blocks)
                 caps = np.broadcast_to(b, (s_mat.shape[0], n)).copy()
                 if couple is not None:
                     room = availability_between(x, y)[couple]
