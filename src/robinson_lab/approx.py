@@ -109,17 +109,20 @@ def _knap_fill_batch(scores, caps, alpha, minimize=False):
     preferring large scores (or small ones when minimising).  Batched over
     rows; returns the fill matrix (shape of ``caps``).  Closed cells may
     carry cap 0 or -inf (see :func:`_signed_caps`).  A 1-D ``scores`` is
-    one row shared by every row of ``caps`` and is sorted once."""
+    one row shared by every row of ``caps``: it is sorted once, and its order
+    gathers and scatters whole columns."""
     g = np.asarray(scores, dtype=np.float64)
     sign = 1.0 if minimize else -1.0
     order = np.argsort(sign * g, axis=-1, kind="stable")
-    if order.ndim == 1:
-        order = np.broadcast_to(order, caps.shape)
-    cs = np.maximum(np.take_along_axis(caps, order, axis=1), 0.0)
+    shared = order.ndim == 1
+    cs = np.maximum(caps[:, order] if shared else np.take_along_axis(caps, order, axis=1), 0.0)
     cum = np.cumsum(cs, axis=1)
     fill = np.clip(alpha - (cum - cs), 0.0, cs)
     out = np.empty_like(fill)
-    np.put_along_axis(out, order, fill, axis=1)
+    if shared:
+        out[:, order] = fill
+    else:
+        np.put_along_axis(out, order, fill, axis=1)
     return out
 
 
@@ -215,41 +218,57 @@ def _ul_heuristic_block(v, alpha, xs, ys):
     its value repeats, already counted, and the point drops out.  A point
     whose new T is the fixed point an earlier start ended at drops out too:
     from there it would repeat that start's last round, whose value is also
-    counted.  A one-row product does not give its row the bits that row gets
-    in a larger product (numpy routes it to gemv), so when two or more points
-    remain a frozen point pads the active set to at least two rows.  A fill
-    gives mass to at most floor(alpha n) + 2 cells (caps are at most 1/n), so
-    the responses sort only floor(alpha n) + 3 cells per row.
+    counted.  So a point also skips a start whose T is an earlier start's T
+    or fixed point.  A one-row product does not give its row the bits that
+    row gets in a larger product (numpy routes it to gemv), so when two or
+    more points remain a frozen point pads the active set to at least two
+    rows.  A fill gives mass to at most floor(alpha n) + 2 cells (caps are at
+    most 1/n), so the responses sort only floor(alpha n) + 3 cells per row,
+    and only the columns [0, s_hi) (S) or [t_lo, n) (T) that some point of
+    the block has open; the products stay n wide (a narrower one moves bits).
 
     Points never interact, so a point's value is that of searching it alone
     whenever BLAS gives each row of a product of two or more rows the same
     bits in every such product, which does not hold at every n (see README).
     """
     n = v.shape[0]
-    a_caps = _signed_caps(_availability(xs, n, "left"))
-    b_caps = _signed_caps(_availability(ys, n, "right"))
+    uy, inv = np.unique(ys, return_inverse=True)    # the T side depends on y alone
+    a_caps = _availability(xs, n, "left")
+    b_caps = _signed_caps(_availability(uy, n, "right"))
+    s_hi = n - int(np.argmax(np.any(a_caps > 0, axis=0)[::-1]))
+    t_lo = int(np.argmax(np.any(b_caps > 0, axis=0)))
+    a_win, b_win = _signed_caps(a_caps[:, :s_hi]), b_caps[inv, t_lo:]
     kk = int(alpha * n) + 3
-    best = np.full(len(a_caps), -np.inf)
-    ends = []               # each earlier start's fixed point, NaN where it had none
-    for t in _t_starts(v, alpha, b_caps):
-        rows, a, b = np.arange(len(a_caps)), a_caps, b_caps
-        end = np.full(a_caps.shape, np.nan)
+    best = np.full(len(xs), -np.inf)
+    starts, ends = [], []   # earlier starts (per distinct y), their fixed points (NaN: none)
+    for start in _t_starts(v, alpha, b_caps):
+        moving = np.ones(len(uy), dtype=bool)
+        for e in starts:    # a start that repeats an earlier one replays it
+            moving &= np.any(start != e, axis=1)
+        starts.append(start)
+        rows, a, b, t, moving = np.arange(len(xs)), a_win, b_win, start[inv], moving[inv]
+        for e in ends:
+            moving &= np.any(t != e, axis=1)
+        end = np.full(t.shape, np.nan)
         for _ in range(ROUNDS):
-            sv = _knap_fill_top(t @ v, a, alpha, kk) @ v
-            t_new = _knap_fill_top(sv, b, alpha, kk)
-            best[rows] = np.maximum(best[rows], np.einsum("ij,ij->i", sv, t_new))
-            moving = np.any(t_new != t, axis=1)
-            end[rows[~moving]] = t_new[~moving]
-            for e in ends:          # at an earlier start's fixed point, whose
-                moving &= np.any(t_new != e[rows], axis=1)      # last round repeats
             n_moving = np.count_nonzero(moving)
             if n_moving == 0:
                 break
             if n_moving == 1 and moving.size > 1:
                 moving[np.argmin(moving)] = True      # pad with a frozen row
-            t = t_new
             if not moving.all():
                 rows, a, b, t = rows[moving], a[moving], b[moving], t[moving]
+            s = np.zeros(t.shape)
+            s[:, :s_hi] = _knap_fill_top((t @ v)[:, :s_hi], a, alpha, kk)
+            sv = s @ v
+            t_new = np.zeros(t.shape)
+            t_new[:, t_lo:] = _knap_fill_top(sv[:, t_lo:], b, alpha, kk)
+            best[rows] = np.maximum(best[rows], np.einsum("ij,ij->i", sv, t_new))
+            moving = np.any(t_new != t, axis=1)
+            end[rows[~moving]] = t_new[~moving]
+            for e in ends:          # at an earlier start's fixed point, whose
+                moving &= np.any(t_new != e[rows], axis=1)      # last round repeats
+            t = t_new
         ends.append(end)
     return best / (alpha * alpha)
 
@@ -262,6 +281,8 @@ def _ul_heuristic_many(v, alpha, xs, ys):
     slice of the result, so the values depend on the block layout only
     through BLAS (see :func:`_ul_heuristic_block`), never on the threads."""
     p_cnt, n = len(xs), v.shape[0]
+    if not p_cnt:
+        return np.empty(0)
     n_blk = max(1, min(p_cnt // 2, p_cnt * n // BLOCK_CELLS))
     edges = np.arange(n_blk + 1) * p_cnt // n_blk
     workers = min(_usable_cpus(), n_blk)
@@ -321,11 +342,13 @@ def _extreme_side_vectors(caps, alpha, chunk=4096):
             idx = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
             rem = alpha - caps[idx].sum(axis=1)
             # column 0: the subset reaches alpha alone; column c + 1: it falls
-            # short and free cell c takes the rest with room to spare
-            short = np.where((rem > GUARD) & (k < m), rem, np.inf)
-            opt = np.column_stack(((rem >= -GUARD) & ((rem <= GUARD) | (k == m)),
-                                   caps - GUARD > short[:, None]))
-            opt[np.arange(len(idx))[:, None], idx + 1] = False
+            # short and free cell c takes the rest with room to spare (no such
+            # column where no subset of the chunk falls short)
+            short = (rem > GUARD) & (k < m)
+            opt = ((rem >= -GUARD) & ~short)[:, None]
+            if short.any():
+                opt = np.column_stack((opt, caps - GUARD > np.where(short, rem, np.inf)[:, None]))
+                opt[np.arange(len(idx))[:, None], idx + 1] = False
             sub, col = np.divmod(np.flatnonzero(opt), opt.shape[1])
             count += len(sub)
             if count > EXTREME_POINT_BUDGET:

@@ -550,6 +550,105 @@ def test_a_start_ends_at_an_earlier_starts_fixed_point(monkeypatch):
         assert sum(rows) < 2 * 0.8 * sum(runs)    # two responses a round
 
 
+def test_a_start_that_repeats_an_earlier_one_runs_no_round(monkeypatch):
+    # at y >= 1/2 the cells nearest the middle are those nearest y, so the
+    # "middle" start is the "hug y" start and every point skips it; the
+    # values stay those of the per-point loop, which runs it again
+    starts, top = approx_mod._t_starts, approx_mod._knap_fill_top
+    log = []                   # a None per start, then each response's rows
+
+    def starts_spy(v, alpha, b_caps):
+        for t in starts(v, alpha, b_caps):
+            log.append(None)
+            yield t
+
+    def top_spy(scores, caps, alpha, kk):
+        log.append(len(scores))
+        return top(scores, caps, alpha, kk)
+
+    monkeypatch.setattr(approx_mod, "_t_starts", starts_spy)
+    monkeypatch.setattr(approx_mod, "_knap_fill_top", top_spy)
+    rng = np.random.Generator(np.random.Philox(118))
+    n, alpha = 24, 0.2
+    v = sym(rng, n, -1, 2).values
+    xs = rng.uniform(alpha, 0.5, 60)
+    ys = rng.uniform(0.5, 1.0 - alpha, 60)
+    runs = []
+    want, _, rounds = per_point_ul_heuristic(v, alpha, xs, ys, runs=runs)
+    assert min(rounds) > 0                     # the loop runs every start
+    got = approx_mod._ul_heuristic_block(v, alpha, xs, ys)
+    assert np.array_equal(got, want)
+    middle = log[len(log) - log[::-1].index(None):]
+    assert log.count(None) == 5 and middle == []
+    assert sum(filter(None, log)) < 2 * sum(runs)
+
+
+def test_starts_are_built_once_per_distinct_y(monkeypatch):
+    # a start depends on y alone: the rows built on the distinct ys, handed
+    # out to the points, are the starts built on every point's own caps
+    starts = approx_mod._t_starts
+    built = []
+
+    def spy(v, alpha, b_caps):
+        built.append(len(b_caps))
+        return starts(v, alpha, b_caps)
+
+    monkeypatch.setattr(approx_mod, "_t_starts", spy)
+    rng = np.random.Generator(np.random.Philox(119))
+    for n, g in ((16, 16), (20, 48), (40, 40)):
+        v = sym(rng, n, -1, 2).values
+        alpha = float(rng.uniform(0.05, 0.4))
+        _, _, xs, ys, room = approx_mod._corner_points(g, alpha)
+        xs, ys = xs[room], ys[room]
+        uy, inv = np.unique(ys, return_inverse=True)
+        assert len(uy) < len(ys)
+        got = starts(v, alpha, _signed_caps(_availability(uy, n, "right")))
+        each = starts(v, alpha, _signed_caps(_availability(ys, n, "right")))
+        want = dense_starts(v, alpha, _availability(ys, n, "right"))
+        for a, b, c in zip(got, each, want, strict=True):
+            assert np.array_equal(a[inv], b) and np.array_equal(b, c)
+        built.clear()
+        approx_mod._ul_heuristic_block(v, alpha, xs, ys)
+        assert built == [len(uy)]
+
+
+def test_responses_sort_only_the_blocks_open_columns(monkeypatch):
+    # blocks of corner points differ in their S and T column windows; the
+    # responses over those windows give the dense reference's values
+    top = approx_mod._knap_fill_top
+    widths = []
+
+    def spy(scores, caps, alpha, kk):
+        widths.append(scores.shape[1])
+        return top(scores, caps, alpha, kk)
+
+    monkeypatch.setattr(approx_mod, "_knap_fill_top", spy)
+    monkeypatch.setattr(approx_mod, "_usable_cpus", lambda: 1)  # S, T, S, T, ...
+    rng = np.random.Generator(np.random.Philox(120))
+    for n, g, alpha in ((24, 24, 0.2), (16, 40, 0.15)):
+        m = rng.uniform(-0.3, 0.3, (n, n))
+        v = toeplitz_decay(n, seed=n).values + 0.5 * (m + m.T)
+        _, _, xs, ys, room = approx_mod._corner_points(g, alpha)
+        xs, ys = xs[room], ys[room]
+        monkeypatch.setattr(approx_mod, "BLOCK_CELLS", len(xs) * n // 6)
+        want, _, _ = per_point_ul_heuristic(v, alpha, xs, ys)
+        widths.clear()
+        got = _ul_heuristic_many(v, alpha, xs, ys)
+        assert np.array_equal(got, want)
+        for side in (widths[0::2], widths[1::2]):
+            assert min(side) < n and len(set(side)) > 1
+
+
+def test_no_feasible_corner_runs_no_window_search(monkeypatch):
+    calls = []
+    monkeypatch.setattr(approx_mod, "_ul_heuristic_block",
+                        lambda *args: calls.append(args))
+    w = sym(np.random.Generator(np.random.Philox(121)), 8, -1, 2)
+    r = robinson_approx(w, 0.51, mode="heuristic")
+    assert calls == []
+    assert not r.values.any() and r.robinson_validated
+
+
 # The most grid points one heuristic window search takes at each kernel size
 # that a pinned hash, an acceptance criterion or a benchmark workload uses
 # (feasible points, or g (g + 1) / 2 on recover's own grid).
@@ -834,20 +933,41 @@ def test_top_k_fill_falls_back_only_when_the_slice_cannot_decide(monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], scores[2:])
 
 
+def pin_input(n, seed):
+    """The noisy Toeplitz kernel of the heuristic approximation pins."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    m = rng.uniform(-0.3, 0.3, (n, n))
+    return StepGraphon(toeplitz_decay(n, seed=seed).values + 0.5 * (m + m.T))
+
+
 def test_heuristic_approximation_bytes_are_pinned():
     pins = {
         (24, 0.2, None, 1): "dc855625ea0c54b9169636a2b8c6fe56cab298f0b21788a09affbeba3e544691",
         (40, 0.1, None, 2): "78ecd15365e93856fba00233ffaecf2630be6a08570dfd05340de489ba4f07fa",
         (16, 0.2, 64, 3): "8001b1a0cd2c7bd76b68a4540668b92c9024c23a4a85d68480799849c4a831a0",
-        # five blocks of BLOCK_CELLS: the only pin the blocked search splits
+        # five blocks of BLOCK_CELLS, each with its own column windows
         (32, 0.2, 256, 4): "7d67d7d0d1c8cdef5e7263ae1fc72be49939521fd8b58b472660ca20fd4d6337",
+        # ten blocks on the kernel's own grid
+        (128, 0.1, None, 5): "75556b23d80e6b5c82181358bda3ed3fffe3c0334bf39c094fbd3e8f203b8af8",
     }
     for (n, alpha, grid_n, seed), want in pins.items():
-        rng = np.random.Generator(np.random.Philox(seed))
-        m = rng.uniform(-0.3, 0.3, (n, n))
-        w = StepGraphon(toeplitz_decay(n, seed=seed).values + 0.5 * (m + m.T))
-        r = robinson_approx(w, alpha, grid_n=grid_n, mode="heuristic")
+        r = robinson_approx(pin_input(n, seed), alpha, grid_n=grid_n, mode="heuristic")
         assert hashlib.sha256(r.values.tobytes()).hexdigest() == want
+
+
+def test_window_search_work_on_the_blocked_pin(monkeypatch):
+    # knapsack rows the window search sorts on the five-block pin; the search
+    # without the repeated-start skip sorted 162,336 (128,202 with it)
+    top = approx_mod._knap_fill_top
+    rows = []
+
+    def spy(scores, caps, alpha, kk):
+        rows.append(len(scores))
+        return top(scores, caps, alpha, kk)
+
+    monkeypatch.setattr(approx_mod, "_knap_fill_top", spy)
+    robinson_approx(pin_input(32, 4), 0.2, grid_n=256, mode="heuristic")
+    assert sum(rows) < 162_336
 
 
 # ---------------------------------------------------------------------------
