@@ -380,8 +380,8 @@ def ul_sup(w: StepGraphon, x: float, y: float, alpha: float, mode: str = "exact"
     """
     if not (0 <= x <= y <= 1):
         raise ValueError("need 0 <= x <= y <= 1")
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
+    if not (GUARD < alpha < 1):
+        raise ValueError("alpha must lie in (GUARD, 1), GUARD = %g" % GUARD)
     if mode not in ("exact", "heuristic"):
         raise ValueError("mode must be exact or heuristic")
     if not (x >= alpha - GUARD and 1.0 - y >= alpha - GUARD):
@@ -561,8 +561,8 @@ def robinson_approx(w: StepGraphon, alpha: float, grid_n: int | None = None,
         vals.flags.writeable = False
         return RobinsonApprox(values=vals, alpha=0.0, grid_n=w.n,
                               mode="identity", robinson_validated=True)
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in [0, 1)")
+    if not (GUARD < alpha < 1):
+        raise ValueError("alpha must be 0 or lie in (GUARD, 1), GUARD = %g" % GUARD)
 
     i, j, xs, ys, feasible = _corner_points(g, alpha)
     pts = int(np.count_nonzero(feasible))
@@ -600,8 +600,8 @@ def closed_form_robinson_ae(w: StepGraphon, alpha: float,
     sliding average reproduces :func:`robinson_approx` without any envelope
     pass, giving an independently-coded cross-check.
     """
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
+    if not (GUARD < alpha < 1):
+        raise ValueError("alpha must lie in (GUARD, 1), GUARD = %g" % GUARD)
     chk = is_robinson(w, _robinson_tol(w))
     if not chk.robinson:
         raise ValueError("closed form needs a Robinson input (witness %s)" % (chk.witness,))

@@ -464,14 +464,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _load_config(args.config)
         return args.fn(args, cfg)
-    except _Error as exc:
+    except (_Error, ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except SystemExit:
-        raise
     except Exception:
         sys.stderr.write("internal error:\n")
         traceback.print_exc()

@@ -10,7 +10,6 @@ cut norm, subadditive and positively homogeneous.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from typing import Optional, Tuple
@@ -58,14 +57,16 @@ def _triple_value(v, a_set, b_set, c_set, q, right):
     return math.fsum(np.concatenate([v[np.ix_(a, c)].ravel(), -near.ravel()]).tolist()) / (q * q)
 
 
-def _certificate(w, r, mode, table):
+def _certificate(w, r, mode, tables):
     """The skeleton of both solvers: refine ``w`` r times per axis, maximise
-    the left term with ``_term_max(v, q, table)`` on v and on v reflected
-    (the right term, by symmetry), reflect that witness back, and floor."""
+    the left term with ``_term_max`` on v and on v reflected (the right
+    term, by symmetry) over the two start tables ``tables(q)``, reflect that
+    witness back, and floor.  The tables are built only once ``refine`` has
+    accepted the grid, and only when it has room for a triple (q >= 3)."""
     q = w.n * r
     v = refine(w, r).values
-    terms = []
-    for flip, u in enumerate((v, v[::-1, ::-1])):
+    terms, pair = [], tables(q) if q >= 3 else (None, None)
+    for flip, (u, table) in enumerate(zip((v, v[::-1, ::-1]), pair)):
         t, wit = _term_max(u, q, table)
         # flooring = choosing the empty triple, so negative witnesses are dropped
         if t is None or t < 0.0:
@@ -98,8 +99,7 @@ def deviation_exact(w: StepGraphon, refinement: int = 1) -> DeviationCertificate
     r = _whole_number(refinement, 1, "refinement must be >= 1")
     if w.n * r > EXACT_DEVIATION_CAP:
         raise ValueError("refined grid %d exceeds exact cap %d" % (w.n * r, EXACT_DEVIATION_CAP))
-    table = _exact_table(w.n * r)   # both terms search the same starts
-    return _certificate(w, r, "exact", lambda q: table)
+    return _certificate(w, r, "exact", lambda q: (_exact_table(q),) * 2)   # both terms, one table
 
 
 def _pick(key, k):
@@ -142,16 +142,8 @@ def _alternate(v, t2, s, c, k):
     return best, trip
 
 
-def _read_only(*arrays):
-    """Lock a cached table: every caller is handed the same arrays."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=1)   # both terms of a call share q
 def _swept_starts(q):
-    """The swept starts of ``_start_table``, read-only: each lattice pair
+    """The swept starts of ``_start_table``: each lattice pair
     (t2, s) with the block sizes k <= m = min(s, t2 - s, q - t2) in
     ascending order, all of them when m <= 16 and else the powers of two and
     m itself, and C = t2, ..., t2 + k - 1."""
@@ -162,16 +154,16 @@ def _swept_starts(q):
     m = np.minimum(np.minimum(s, t2 - s), q - t2)[:, None]
     ks = np.arange(1, q // 3 + 1)
     pair, k = np.nonzero((ks <= m) & ((m <= 16) | ((ks & (ks - 1)) == 0) | (ks == m)))
-    return _read_only(t2[pair], s[pair], ks[k], t2[pair, None] + np.arange(q // 3))
+    return t2[pair], s[pair], ks[k], t2[pair, None] + np.arange(q // 3)
 
 
-def _start_table(q, restarts, rng):
+def _start_table(q, swept, restarts, rng):
     """Every start of the left-term search: split t2, split s, block size k
     and the table ``c``, whose row i begins with start i's ascending C block.
 
-    The swept starts (``_swept_starts``) come first, then the seeded
-    restarts, drawn from ``rng`` one at a time.  As k <= m <= q / 3, the
-    table is q // 3 wide.
+    The swept starts (``swept``, from ``_swept_starts(q)``) come first, then
+    the seeded restarts, drawn from ``rng`` one at a time.  As
+    k <= m <= q / 3, the table is q // 3 wide.
     """
     rest = np.empty((3, restarts), dtype=np.intp)
     rest_c = np.zeros((restarts, q // 3), dtype=np.intp)
@@ -181,13 +173,12 @@ def _start_table(q, restarts, rng):
         rk = int(rng.integers(1, min(rs, rt - rs, q - rt) + 1))
         rest[:, j] = rt, rs, rk
         rest_c[j, :rk] = np.sort(rng.choice(q - rt, size=rk, replace=False) + rt)
-    return tuple(np.concatenate(parts) for parts in zip(_swept_starts(q), (*rest, rest_c)))
+    return tuple(np.concatenate(parts) for parts in zip(swept, (*rest, rest_c)))
 
 
-@functools.lru_cache(maxsize=None)   # q <= 15: a few small tables
 def _exact_table(q):
-    """Every start of the exact left-term search, laid out as ``_start_table``
-    and read-only: each split t2 = min C, block size k, split s with
+    """Every start of the exact left-term search, laid out as ``_start_table``:
+    each split t2 = min C, block size k, split s with
     k <= s <= t2 - k and C, which is t2 and k - 1 columns right of it, in
     (t2, k, s, C) order with C in ``itertools.combinations`` order.
     """
@@ -196,7 +187,7 @@ def _exact_table(q):
                      for s in range(k, t2 - k + 1)
                      for rest in itertools.combinations(range(t2 + 1, q), k - 1)],
                     dtype=np.intp).reshape(-1, 3 + q // 3)
-    return _read_only(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:])
+    return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:]
 
 
 def _start_caps(v, t2, s, k):
@@ -239,7 +230,7 @@ def _start_caps(v, t2, s, k):
 
 
 def _term_max(v, q, table):
-    """Search for the left term over the starts ``table(q)`` returns.
+    """Search for the left term over the starts of ``table``.
 
     Every start (for the heuristic, swept splits with consecutive C blocks,
     then seeded random restarts; for the exact solver, every C) is improved
@@ -253,7 +244,7 @@ def _term_max(v, q, table):
     """
     if q < 3:
         return None, None
-    t2, s, k, c = table(q)
+    t2, s, k, c = table
     cap = _start_caps(v, t2, s, k)
     left = np.ones(len(k), dtype=bool)
     lead = (-np.inf, len(k), None)   # the best value so far, its first start, its triple
@@ -285,4 +276,8 @@ def deviation_heuristic(w: StepGraphon, refinement: int = 1,
     r = _whole_number(refinement, 1, "refinement must be >= 1")
     restarts = _whole_number(restarts, 0, "restarts must be >= 0")
     rng = _rng(seed)
-    return _certificate(w, r, "heuristic", lambda q: _start_table(q, restarts, rng))
+
+    def tables(q):   # one swept part for both terms; the left term's restarts drawn first
+        swept = _swept_starts(q)
+        return [_start_table(q, swept, restarts, rng) for _ in range(2)]
+    return _certificate(w, r, "heuristic", tables)

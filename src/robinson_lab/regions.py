@@ -100,8 +100,8 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
     """
     if np.min(w.values) < 0:
         raise ValueError("regions need a nonnegative graphon")
-    if not (0 < alpha < 0.5):
-        raise ValueError("alpha must lie in (0, 0.5)")
+    if not (GUARD < alpha < 0.5):
+        raise ValueError("alpha must lie in (GUARD, 0.5), GUARD = %g" % GUARD)
     m = _whole_number(m, 1, "m must be a positive integer")
     raster = _whole_number(raster, 8, "raster must be an integer >= 8")
     level_max = max(1, math.ceil(float(w.values.max()) - 1e-12))

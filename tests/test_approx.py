@@ -497,6 +497,28 @@ def test_ul_sup_validation():
         ul_sup(w, 0.05, 0.5, 0.1, mode="bogus")
 
 
+def test_ul_sup_rejects_widths_at_or_below_guard():
+    # there the room test passes points with no room (y = 1) and the
+    # extreme-point walk reads alpha as 0: exact gave 0.0, heuristic 0.4641
+    w = toeplitz_decay(8, seed=1)
+    for alpha in (1e-16, GUARD):
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(ValueError, match="GUARD = 1e-15"):
+                ul_sup(w, 0.5, 0.5, alpha, mode=mode)
+    assert ul_sup(w, 0.5, 0.5, 2 * GUARD, mode="heuristic") <= \
+        ul_sup(w, 0.5, 0.5, 2 * GUARD, mode="exact") + LOWER_TOL
+
+
+def test_robinson_approx_rejects_widths_at_or_below_guard():
+    # exact (and auto) mode gave an all-zero grid, heuristic mode a reshape error
+    w = toeplitz_decay(8, seed=1)
+    for alpha in (1e-16, GUARD):
+        for mode in ("auto", "exact", "heuristic"):
+            with pytest.raises(ValueError, match="GUARD = 1e-15"):
+                robinson_approx(w, alpha, mode=mode)
+    assert robinson_approx(w, 0.0).mode == "identity"
+
+
 def test_heuristic_loop_matches_the_dense_reference():
     rng = np.random.Generator(np.random.Philox(112))
     draws = [(p_cnt, False) for p_cnt in (1, 2, 3, 50) for _ in range(8)]
@@ -1210,6 +1232,13 @@ def test_closed_form_rejects_non_robinson_input():
         closed_form_robinson_ae(bad, 0.25)
     with pytest.raises(ValueError):
         closed_form_robinson_ae(toeplitz_decay(4, seed=1), 0.0)
+
+
+def test_closed_form_rejects_widths_at_or_below_guard():
+    # the box integrals divided by alpha^2 gave values near +-5.6e13 at 1e-15
+    for alpha in (1e-16, GUARD):
+        with pytest.raises(ValueError, match="GUARD = 1e-15"):
+            closed_form_robinson_ae(toeplitz_decay(8, seed=1), alpha)
 
 
 def test_robinson_tolerance_is_relative_to_the_sup_norm():

@@ -16,12 +16,14 @@ from robinson_lab import (
     cut_norm_exact,
     deviation_exact,
     deviation_heuristic,
+    estimate_deviation,
     lp_norm,
     refine,
     smooth_exp,
     toeplitz_decay,
 )
 from robinson_lab import deviation as deviation_module
+from robinson_lab.core import MAX_REFINED_CELLS
 from robinson_lab.deviation import (
     _SWEEP_CAP,
     EXACT_DEVIATION_CAP,
@@ -29,6 +31,7 @@ from robinson_lab.deviation import (
     _pick,
     _start_caps,
     _start_table,
+    _swept_starts,
     _triple_value,
 )
 
@@ -336,7 +339,7 @@ def test_start_table_matches_the_reference_list():
         for restarts in (0, 1, 7, 50):
             rng_new = np.random.Generator(np.random.Philox(q + restarts))
             rng_ref = np.random.Generator(np.random.Philox(q + restarts))
-            t2, s, k, c = _start_table(q, restarts, rng_new)
+            t2, s, k, c = _start_table(q, _swept_starts(q), restarts, rng_new)
             ref = reference_starts(q, restarts, rng_ref)
             rows = [(int(t2[i]), int(s[i]), tuple(int(j) for j in c[i, :k[i]]))
                     for i in range(len(k))]
@@ -407,7 +410,7 @@ def test_heuristic_search_matches_the_reference():
             rng_new = np.random.Generator(np.random.Philox(seed))
             rng_ref = np.random.Generator(np.random.Philox(seed))
             value, trip = deviation_module._term_max(
-                u, q, lambda q: _start_table(q, restarts, rng_new))
+                u, q, _start_table(q, _swept_starts(q), restarts, rng_new))
             ref_value, ref_trip = reference_term_max(u, q, restarts, rng_ref)
             assert (value, trip) == (ref_value, ref_trip)
             assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)
@@ -434,7 +437,8 @@ def _cap_inputs():
 def test_every_start_stays_under_its_cap():
     for v, restarts, seed in _cap_inputs():
         q = v.shape[0]
-        t2, s, k, c = _start_table(q, restarts, np.random.Generator(np.random.Philox(seed)))
+        t2, s, k, c = _start_table(q, _swept_starts(q), restarts,
+                                   np.random.Generator(np.random.Philox(seed)))
         cap = _start_caps(v, t2, s, k)   # swept starts and restarts alike
         for kk in np.unique(k).tolist():
             idx = np.flatnonzero(k == kk)
@@ -468,7 +472,8 @@ def test_caps_match_the_column_reference_bit_for_bit():
     # tables (many starts share each (t2, s, k))
     for v, restarts, seed in _cap_inputs():
         q = v.shape[0]
-        tables = [_start_table(q, restarts, np.random.Generator(np.random.Philox(seed)))]
+        tables = [_start_table(q, _swept_starts(q), restarts,
+                               np.random.Generator(np.random.Philox(seed)))]
         if q <= EXACT_DEVIATION_CAP:
             tables.append(_exact_table(q))
         for t2, s, k, _ in tables:
@@ -476,15 +481,34 @@ def test_caps_match_the_column_reference_bit_for_bit():
                 reference_start_caps(v, t2, s, k).tobytes()
 
 
-def test_start_tables_are_built_once_and_read_only():
-    # the exact table once per q, the swept starts once for both terms of a call
-    assert _exact_table(9) is _exact_table(9)
-    assert not any(a.flags.writeable for a in _exact_table(9))
-    swept = deviation_module._swept_starts
-    swept.cache_clear()
-    deviation_heuristic(_noisy_toeplitz(20), 2, restarts=5, seed=3)
-    assert (swept.cache_info().misses, swept.cache_info().hits) == (1, 1)
-    assert not any(a.flags.writeable for a in swept(40))
+def test_each_call_builds_its_start_tables_once(monkeypatch):
+    # the swept starts once for both terms of a heuristic call, the exact
+    # table once for both terms of an exact call, and nothing kept between calls
+    calls = []
+    for name in ("_swept_starts", "_exact_table"):
+        plain = getattr(deviation_module, name)
+        monkeypatch.setattr(deviation_module, name,
+                            lambda q, plain=plain, name=name: calls.append((name, q)) or plain(q))
+    for _ in range(2):
+        deviation_heuristic(_noisy_toeplitz(20), 2, restarts=5, seed=3)
+        deviation_exact(_noisy_toeplitz(7), 2)
+    assert calls == [("_swept_starts", 40), ("_exact_table", 14)] * 2
+
+
+def test_a_refinement_past_the_cap_builds_no_table(monkeypatch):
+    calls = []
+
+    def spy(q):
+        calls.append(q)
+        raise AssertionError("a start table was built for q = %d" % q)
+
+    monkeypatch.setattr(deviation_module, "_swept_starts", spy)
+    monkeypatch.setattr(deviation_module, "_exact_table", spy)
+    w = _noisy_toeplitz(20)
+    for solve in (deviation_heuristic, estimate_deviation):
+        with pytest.raises(ValueError, match="exceeds cap %d" % MAX_REFINED_CELLS):
+            solve(w, MAX_REFINED_CELLS // w.n + 1)
+    assert calls == []
 
 
 def test_the_caps_skip_most_starts_at_q80(monkeypatch):
@@ -497,11 +521,12 @@ def test_the_caps_skip_most_starts_at_q80(monkeypatch):
 
     monkeypatch.setattr(deviation_module, "_alternate", counted)
     v = refine(_noisy_toeplitz(40), 2).values
-    starts = len(_start_table(80, 50, np.random.Generator(np.random.Philox(0)))[2])
+    rng = np.random.Generator(np.random.Philox(0))
+    starts = len(_start_table(80, _swept_starts(80), 50, rng)[2])
     for u in (v, v[::-1, ::-1]):
         rows.clear()
         rng = np.random.Generator(np.random.Philox(0))
-        deviation_module._term_max(u, 80, lambda q: _start_table(q, 50, rng))
+        deviation_module._term_max(u, 80, _start_table(80, _swept_starts(80), 50, rng))
         assert 0 < sum(rows) < starts / 2
 
 
@@ -514,7 +539,7 @@ def test_the_caps_skip_most_restarts_at_q80(monkeypatch):
         return plain_alternate(v, t2, s, c, k)
 
     monkeypatch.setattr(deviation_module, "_alternate", counted)
-    t2, s, k, c = _start_table(80, 50, np.random.Generator(np.random.Philox(0)))
+    t2, s, k, c = _start_table(80, _swept_starts(80), 50, np.random.Generator(np.random.Philox(0)))
     rows = [(int(t2[i]), int(s[i]), tuple(c[i, :k[i]].tolist())) for i in range(len(k))]
     restarts = set(rows[-50:])
     assert len(restarts - set(rows[:-50])) == 50   # each restart is told apart by its row
@@ -522,7 +547,7 @@ def test_the_caps_skip_most_restarts_at_q80(monkeypatch):
     for u in (v, v[::-1, ::-1]):
         runs.clear()
         rng = np.random.Generator(np.random.Philox(0))
-        deviation_module._term_max(u, 80, lambda q: _start_table(q, 50, rng))
+        deviation_module._term_max(u, 80, _start_table(80, _swept_starts(80), 50, rng))
         assert sum(row in restarts for row in runs) < 25   # capped like the swept starts
 
 
@@ -610,7 +635,7 @@ def test_exact_search_matches_the_split_scan():
             m = np.kron(rng.uniform(-1.0, 1.0, (h, h)), np.ones((2, 2)))[:q, :q]
         v = StepGraphon(0.5 * (m + m.T)).values
         for u in (v, v[::-1, ::-1]):
-            value, trip = deviation_module._term_max(u, q, _exact_table)
+            value, trip = deviation_module._term_max(u, q, _exact_table(q))
             ref_value, ref_trip = reference_term_max_exact(u, q)
             if q < 3:
                 assert (value, trip) == (ref_value, ref_trip) == (None, None)

@@ -287,6 +287,12 @@ def test_compute_regions_validation():
     assert compute_regions(w, m=2.0, alpha=0.2, raster=np.int64(16)).raster == 16
 
 
+def test_compute_regions_rejects_widths_at_or_below_guard():
+    for alpha in (1e-16, GUARD):
+        with pytest.raises(ValueError, match="GUARD = 1e-15"):
+            compute_regions(toeplitz_decay(8, seed=1), m=4, alpha=alpha)
+
+
 def test_quadratic_region_map_regression():
     rm = compute_regions(quadratic_sum(16), m=4, alpha=0.1, raster=128)
     assert verify_partition(rm)

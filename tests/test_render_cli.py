@@ -266,6 +266,17 @@ def test_cli_approx_closed_form_mode(tmp_path, capsys):
     assert "closed form needs a Robinson input" in capsys.readouterr().err
 
 
+def test_cli_approx_rejects_a_width_at_or_below_guard(tmp_path, capsys):
+    # auto mode picked exact here and wrote an all-zero matrix with exit 0
+    path, out = tmp_path / "w.txt", tmp_path / "approx.txt"
+    save_graphon(toeplitz_decay(8, seed=1), path)
+    assert cli.main(["approx", "--in", str(path), "--alpha", "1e-16",
+                     "--out-matrix", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "GUARD = 1e-15" in captured.err
+    assert not out.exists()
+
+
 def test_cli_approx_block_example(tmp_path, capsys):
     path, out = tmp_path / "ones.txt", tmp_path / "approx.txt"
     save_graphon(StepGraphon(np.ones((8, 8))), path)
@@ -540,6 +551,15 @@ def test_cli_selftest_robinson_check_is_relative_to_the_sup_norm(monkeypatch, ca
     assert cli.main(["selftest"]) == 1
     rows = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.strip().split("\n")[:-1])
     assert rows["approximation is Robinson"] == "FAIL"
+
+
+def test_cli_help_exits_zero(capsys):
+    # argparse's exit passes through main, with its code
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "recover" in out and "selftest" in out
 
 
 def test_console_script_smoke(tmp_path):
