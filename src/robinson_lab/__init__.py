@@ -29,7 +29,6 @@ from .deviation import (
     deviation_heuristic,
 )
 from .approx import (
-    BoxIntegrator,
     RobinsonApprox,
     closed_form_robinson_ae,
     diagonal_band_integral,
@@ -83,7 +82,7 @@ __all__ = [
     "cutoff", "is_robinson",
     "CutNormResult", "cut_norm", "cut_norm_exact", "cut_norm_local_search",
     "DeviationCertificate", "deviation_exact", "deviation_heuristic",
-    "BoxIntegrator", "RobinsonApprox", "closed_form_robinson_ae",
+    "RobinsonApprox", "closed_form_robinson_ae",
     "diagonal_band_integral", "monotone_envelope", "robinson_approx", "ul_sup",
     "BoundaryCurve", "RegionMap", "boundary_curve", "cell_crosses",
     "compute_regions", "largest_grey_square", "verify_partition",

@@ -34,47 +34,36 @@ SHARED_RATIO = 4               # auto: shared exact search up to this many extre
 
 
 # ---------------------------------------------------------------------------
-# exact window integrals
+# window integrals, from the overlap of each window with each cell
 
-class BoxIntegrator:
-    """Exact integrals of a step graphon over arbitrary rectangles.
+def _window_weights(anchors, width, n, side):
+    """Length of the window [a - width, a] (side='left') or [a, a + width]
+    (side='right') inside each cell of 1/n, one row per anchor a.
 
-    Precomputes the bilinear prefix integral F(x, y) = int over [0,x]x[0,y];
-    rectangle integrals follow by inclusion-exclusion.  All evaluations are
-    vectorised over numpy arrays of coordinates.
-    """
+    Each length comes from the anchor and the width, never from a rounded
+    a -/+ width, so a window far narrower than a's rounding step keeps its
+    size: ``to_edge`` runs from the anchor to the cell's far edge, ``from_end``
+    from the window's far end to the cell's near edge.  A cell the window
+    covers gets exactly 1/n, which (c+1)/n - c/n is not at every n."""
+    a = np.asarray(anchors, dtype=np.float64)[:, None]
+    lo, hi = np.arange(n) / n, (np.arange(n) + 1) / n
+    if side == "left":
+        to_edge, from_end = a - lo, (hi - a) + width
+    else:
+        to_edge, from_end = hi - a, (a - lo) + width
+    # the anchor lies at or past the cell, and the window's far end at or
+    # beyond the cell's far edge; decided on the floats (README design notes)
+    whole = (to_edge >= hi - lo) & (to_edge <= width)
+    return np.where(whole, 1.0 / n, np.clip(np.minimum(to_edge, from_end), 0.0, width))
 
-    def __init__(self, w: StepGraphon):
-        v = w.values
-        n = w.n
-        self.n = n
-        self.v = v
-        corner = np.zeros((n + 1, n + 1))
-        corner[1:, 1:] = v.cumsum(axis=0).cumsum(axis=1) / (n * n)
-        self._corner = corner
-        rowstrip = np.zeros((n, n + 1))
-        rowstrip[:, 1:] = v.cumsum(axis=1) / n     # d/dx of F within row cell
-        self._rowstrip = rowstrip
-        colstrip = np.zeros((n + 1, n))
-        colstrip[1:, :] = v.cumsum(axis=0) / n
-        self._colstrip = colstrip
 
-    def cdf(self, x, y):
-        """F(x, y), exact for the step function; x, y arrays in [0, 1]."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        n = self.n
-        i = np.clip(np.floor(x * n).astype(np.intp), 0, n - 1)
-        j = np.clip(np.floor(y * n).astype(np.intp), 0, n - 1)
-        fx = x - i / n
-        fy = y - j / n
-        return (self._corner[i, j] + fx * self._rowstrip[i, j]
-                + fy * self._colstrip[i, j] + fx * fy * self.v[i, j])
-
-    def box(self, x1, x2, y1, y2):
-        """Integral of w over [x1,x2] x [y1,y2] (coordinates may be arrays)."""
-        return (self.cdf(x2, y2) - self.cdf(x1, y2)
-                - self.cdf(x2, y1) + self.cdf(x1, y1))
+def _box_averages(w: StepGraphon, alpha, xs, ys):
+    """Average of w over [x - alpha, x] x [y, y + alpha] for every x in xs
+    (rows) and every y in ys (columns): one product A v B^T of the two sides'
+    window weights, divided by alpha^2."""
+    a = _window_weights(xs, alpha, w.n, "left")
+    b = _window_weights(ys, alpha, w.n, "right")
+    return a @ w.values @ b.T / (alpha * alpha)
 
 
 def diagonal_band_integral(w: StepGraphon, halfwidth: float) -> float:
@@ -606,13 +595,10 @@ def closed_form_robinson_ae(w: StepGraphon, alpha: float,
     if not chk.robinson:
         raise ValueError("closed form needs a Robinson input (witness %s)" % (chk.witness,))
     g = _grid_size(w, grid_n)
-    box = BoxIntegrator(w)
-    i, j, xs, ys, feasible = _corner_points(g, alpha)
-    vals = np.zeros(len(i))
-    f = feasible
-    vals[f] = box.box(xs[f] - alpha, xs[f], ys[f], ys[f] + alpha) / (alpha * alpha)
+    i, j, _, _, feasible = _corner_points(g, alpha)
+    box = _box_averages(w, alpha, np.arange(g) / g, np.arange(1, g + 1) / g)
     grid = np.zeros((g, g))
-    grid[i, j] = vals
+    grid[i, j] = np.where(feasible, box[i, j], 0.0)
     iu = np.triu_indices(g, 1)
     grid[(iu[1], iu[0])] = grid[iu]
     out = StepGraphon(grid)

@@ -304,7 +304,7 @@ def _selftest_cases():
         w = synth.smooth_exp(6)
         a = robinson_approx(w, 0.25, mode="exact")
         b = closed_form_robinson_ae(w, 0.25)
-        return float(np.abs(a.values - b.values).max()) <= 1e-9
+        return float(np.abs(a.values - b.values).max()) <= _robinson_tol(w)
 
     def split_conditions():
         u = np.array([1.0, -0.5, 0.25, 0.75])

@@ -5,10 +5,10 @@ high zone (some upper-left alpha-window averages above the threshold, plus
 the diagonal), a low zone (some feasible lower-right window average at or
 below it) and, between two consecutive thresholds, a remainder band; pixels
 where the two zones stay further apart are "grey".  All zones are evaluated
-on a square raster from an interval-anchored window family: window averages
-are exact (integral-image) for windows anchored on raster coordinates plus
-the per-pixel corner windows, then closed monotonically, which keeps every
-boundary curve a monotone staircase.
+on a square raster from an interval-anchored window family: windows anchored
+on raster coordinates plus the per-pixel corner windows, each averaged from
+its overlap with every cell of w (one product per family), then closed
+monotonically, which keeps every boundary curve a monotone staircase.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .approx import BoxIntegrator, GUARD
+from .approx import GUARD, _box_averages
 from .core import StepGraphon, _whole_number
 
 
@@ -75,20 +75,12 @@ class RegionMap:
         return np.where(self._triangle(), lab, -1)
 
 
-def _anchored_window_matrix(box: BoxIntegrator, alpha, raster):
+def _anchored_window_matrix(w: StepGraphon, alpha, raster):
     """W[ia, ib] = average over [a-alpha, a] x [b, b+alpha] for anchors on the
     raster boundary grid; -inf rows/cols where the window leaves [0, 1]."""
     t = np.arange(raster + 1) / raster
-    ia_ok = t >= alpha - GUARD
-    ib_ok = t <= 1.0 - alpha + GUARD
-    a = t[ia_ok]
-    b = t[ib_ok]
-    aa, bb = np.meshgrid(a, b, indexing="ij")
-    vals = box.box(np.clip(aa - alpha, 0, 1), aa, bb,
-                   np.clip(bb + alpha, 0, 1)) / (alpha * alpha)
-    w = np.full((raster + 1, raster + 1), -np.inf)
-    w[np.ix_(ia_ok, ib_ok)] = vals
-    return w
+    inside = (t >= alpha - GUARD)[:, None] & (t <= 1.0 - alpha + GUARD)[None, :]
+    return np.where(inside, _box_averages(w, alpha, t, t), -np.inf)
 
 
 def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> RegionMap:
@@ -107,22 +99,17 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
     level_max = max(1, math.ceil(float(w.values.max()) - 1e-12))
     total = m * level_max
 
-    box = BoxIntegrator(w)
     r = raster
     centers = (np.arange(r) + 0.5) / r
-    xs, ys = np.meshgrid(centers, centers, indexing="ij")
 
     # ---- upper-left maxima -------------------------------------------------
     # pixel (ix, iy) may use anchors a <= center x -> index ix, b >= center y
     # -> index iy + 1; the closure below takes the max over all of them
-    wmat = _anchored_window_matrix(box, alpha, r)
-    v_high = wmat[:r, 1:]
+    wmat = _anchored_window_matrix(w, alpha, r)
     # per-pixel corner window [x-alpha, x] x [y, y+alpha]
-    feas = (xs >= alpha - GUARD) & (ys <= 1 - alpha + GUARD)
-    corner = np.full((r, r), -np.inf)
-    fx, fy = xs[feas], ys[feas]
-    corner[feas] = box.box(fx - alpha, fx, fy, fy + alpha) / (alpha * alpha)
-    v_high = np.maximum(v_high, corner)
+    corner = _box_averages(w, alpha, centers, centers)
+    feas = (centers >= alpha - GUARD)[:, None] & (centers <= 1 - alpha + GUARD)[None, :]
+    v_high = np.maximum(wmat[:r, 1:], np.where(feas, corner, -np.inf))
     # monotone closure: windows usable at smaller x / larger y stay usable
     v_high = np.maximum.accumulate(v_high, axis=0)
     v_high = np.maximum.accumulate(v_high[:, ::-1], axis=1)[:, ::-1]
@@ -138,12 +125,10 @@ def compute_regions(w: StepGraphon, m: int, alpha: float, raster: int = 128) -> 
     okb = ib_max >= 0
     v_low = np.where(ok[:, None] & okb[None, :],
                      wmask[np.ix_(np.clip(ia_min, 0, r), np.clip(ib_max, 0, r))], np.inf)
-    # per-pixel corner windows [x, x+alpha] x [y-alpha, y]
-    feas2 = (ys - xs) >= 2 * alpha - GUARD
-    corner2 = np.full((r, r), np.inf)
-    fx, fy = xs[feas2], ys[feas2]
-    corner2[feas2] = box.box(fx, fx + alpha, fy - alpha, fy) / (alpha * alpha)
-    v_low = np.minimum(v_low, corner2)
+    # per-pixel corner windows [x, x+alpha] x [y-alpha, y]: w is symmetric,
+    # so each is the upper-left corner window of pixel (iy, ix)
+    feas2 = (centers[None, :] - centers[:, None]) >= 2 * alpha - GUARD
+    v_low = np.minimum(v_low, np.where(feas2, corner.T, np.inf))
     # monotone closure: windows usable at larger x / smaller y stay usable
     v_low = np.minimum.accumulate(v_low[::-1, :], axis=0)[::-1, :]
     v_low = np.minimum.accumulate(v_low, axis=1)

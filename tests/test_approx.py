@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1193,6 +1194,40 @@ def test_heuristic_approximation_never_exceeds_exact():
 
 
 # ---------------------------------------------------------------------------
+# window weights: the length of a window inside each cell
+
+def exact_overlap(a, width, lo, hi, side):
+    """The exact length of [a - width, a] (left) or [a, a + width] (right)
+    inside [lo, hi], all four as the exact values of their floats, and
+    whether the window covers that cell."""
+    start, end = (a - width, a) if side == "left" else (a, a + width)
+    return max(Fraction(0), min(end, hi) - max(start, lo)), start <= lo and hi <= end
+
+
+def test_window_weights_match_exact_overlaps_and_give_whole_cells_one_nth():
+    eps = np.finfo(float).eps
+    rng = np.random.Generator(np.random.Philox(31))
+    for n in (1, 3, 24, 40, 160):
+        edges = np.arange(n + 1) / n
+        lo, hi = [Fraction(e) for e in edges[:-1]], [Fraction(e) for e in edges[1:]]
+        anchors = np.concatenate((edges[:: max(1, n // 12)], [1.0], rng.uniform(0, 1, 8)))
+        widths = np.concatenate((np.geomspace(1e-12, 0.3, 7), [1 / n, 3 / n]))
+        whole_off = 0          # whole cells where (c+1)/n - c/n is not 1/n
+        for side in ("left", "right"):
+            for width in widths[widths <= 0.3]:
+                got = approx_mod._window_weights(anchors, width, n, side)
+                for k, a in enumerate(anchors):
+                    for c in range(n):
+                        want, whole = exact_overlap(Fraction(a), Fraction(width), lo[c], hi[c], side)
+                        if whole:
+                            assert got[k, c] == 1.0 / n, (n, side, width, a, c)
+                            whole_off += edges[c + 1] - edges[c] != 1.0 / n
+                        else:
+                            assert abs(Fraction(got[k, c]) - want) <= 2 * eps * width, (n, side, width, a, c)
+        assert whole_off > 0 or n in (1, 3)
+
+
+# ---------------------------------------------------------------------------
 # closed-form cross-check for Robinson inputs
 
 def test_closed_form_matches_plain_window_average():
@@ -1224,6 +1259,19 @@ def test_closed_form_agrees_with_the_envelope_pipeline():
     a = robinson_approx(w, 0.4).values
     b = closed_form_robinson_ae(w, 0.4).values
     assert np.max(np.abs(a - b)) <= AGREE_TOL
+
+
+@pytest.mark.parametrize("n, seed", [(8, 1), (24, 24)])
+def test_closed_form_equals_exact_mode_at_narrow_widths(n, seed):
+    # box integrals from four prefix integrals each gave values in
+    # [-27.8, 27.8] at alpha = 1e-9 on the n = 8 kernel, whose maximum is 0.807
+    w = toeplitz_decay(n, seed=seed)
+    for alpha in (1e-12, 1e-9, 1e-6, 1e-3):
+        for g in (n, 2 * n, 3 * n + 1):
+            closed = closed_form_robinson_ae(w, alpha, grid_n=g)
+            exact = robinson_approx(w, alpha, grid_n=g, mode="exact").values
+            assert closed.robinson_validated, (alpha, g)
+            assert np.allclose(closed.values, exact, rtol=1e-12, atol=0), (alpha, g)
 
 
 def test_closed_form_rejects_non_robinson_input():

@@ -18,7 +18,7 @@ from robinson_lab import (
     ul_sup,
     verify_partition,
 )
-from robinson_lab.approx import GUARD, BoxIntegrator
+from robinson_lab.approx import GUARD, _box_averages
 from robinson_lab.regions import _anchored_window_matrix
 from window_oracle import lr_inf
 
@@ -349,10 +349,9 @@ def reference_curve(rm, kind, k):
 
 def reference_value_low(w, alpha, r):
     """Lower-right minima with the row-by-row dmin loop."""
-    box = BoxIntegrator(w)
     centers = (np.arange(r) + 0.5) / r
     xs, ys = np.meshgrid(centers, centers, indexing="ij")
-    wmat = _anchored_window_matrix(box, alpha, r)
+    wmat = _anchored_window_matrix(w, alpha, r)
     valid = np.tril(np.ones((r + 1, r + 1), dtype=bool)).T
     wmask = np.where(valid, wmat, np.inf)
     wmask[~np.isfinite(wmat)] = np.inf
@@ -370,12 +369,22 @@ def reference_value_low(w, alpha, r):
     v_low[sel] = dmin[np.clip(ia_min, 0, r)[:, None].repeat(r, 1)[sel],
                       np.clip(ib_max, 0, r)[None, :].repeat(r, 0)[sel]]
     feas2 = (ys - xs) >= 2 * alpha - GUARD
-    corner2 = np.full((r, r), np.inf)
-    fx, fy = xs[feas2], ys[feas2]
-    corner2[feas2] = box.box(fx, fx + alpha, fy - alpha, fy) / (alpha * alpha)
+    corner2 = np.where(feas2, _box_averages(w, alpha, centers, centers).T, np.inf)
     v_low = np.minimum(v_low, corner2)
     v_low = np.minimum.accumulate(v_low[::-1, :], axis=0)[::-1, :]
     return np.minimum.accumulate(v_low, axis=1)
+
+
+def test_region_values_stay_in_the_kernels_range_at_narrow_widths():
+    # box integrals from four prefix integrals each gave value_high up to 111
+    # (n = 8, maximum 0.807) and +-222 (n = 24) at alpha = 1e-9
+    for n, seed in ((8, 1), (24, 24)):
+        w = toeplitz_decay(n, seed=seed)
+        lo, hi = float(w.values.min()), float(w.values.max())
+        rm = compute_regions(w, m=4, alpha=1e-9, raster=64)
+        assert np.all(np.isfinite(rm.value_high))
+        assert rm.value_high.max() <= hi + 1e-12 * hi
+        assert rm.value_low.min() >= lo - 1e-12 * hi
 
 
 def test_region_arrays_match_loop_references():

@@ -266,6 +266,15 @@ def test_cli_approx_closed_form_mode(tmp_path, capsys):
     assert "closed form needs a Robinson input" in capsys.readouterr().err
 
 
+def test_cli_closed_form_is_robinson_at_a_narrow_width(tmp_path, capsys):
+    # box integrals from four prefix integrals each reported false here
+    path = tmp_path / "w.txt"
+    save_graphon(toeplitz_decay(8, seed=1), path)
+    code, rep = run_json(["approx", "--in", str(path), "--mode", "closed-form",
+                          "--alpha", "0.001", "--grid", "16"], capsys)
+    assert code == 0 and rep["robinsonValidated"] is True
+
+
 def test_cli_approx_rejects_a_width_at_or_below_guard(tmp_path, capsys):
     # auto mode picked exact here and wrote an all-zero matrix with exit 0
     path, out = tmp_path / "w.txt", tmp_path / "approx.txt"
